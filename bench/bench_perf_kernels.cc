@@ -144,23 +144,19 @@ peakRssMib()
 }
 
 /**
- * One full EM fitness evaluation, streaming (Arg 1) vs the
- * batch-trace oracle (Arg 0). Besides wall time, reports the
+ * One full EM fitness evaluation. Besides wall time, reports the
  * full-rate samples buffered per evaluation and the growth of the
- * process peak RSS across the bench — the streaming path should
- * buffer nothing and leave the high-water mark where it found it.
- * Registered streaming-first so the batch path's trace buffers do
- * not pollute the streaming reading.
+ * process peak RSS across the bench — the streaming measurement
+ * should buffer nothing and leave the high-water mark where it found
+ * it. (BM_PlatformRunKernelBatch shows the batch oracle's cost.)
  */
 void
 BM_FullEmFitnessEvaluation(benchmark::State &state)
 {
-    const bool streaming = state.range(0) != 0;
     platform::Platform a72(platform::junoA72Config(), 1);
     core::EvalSettings eval;
     eval.duration_s = 4e-6;
     eval.sa_samples = 30;
-    eval.streaming = streaming;
     core::EmAmplitudeFitness fitness(a72, eval);
     Rng rng(5);
     const auto kernel = isa::Kernel::random(a72.pool(), 50, rng);
@@ -168,22 +164,19 @@ BM_FullEmFitnessEvaluation(benchmark::State &state)
     ga::EvalDetail detail;
     for (auto _ : state)
         benchmark::DoNotOptimize(fitness.evaluate(kernel, &detail));
-    state.SetLabel(streaming ? "streaming" : "batch");
     state.counters["samples_buffered"] =
         static_cast<double>(detail.samples_materialized);
     state.counters["peak_rss_growth_mib"] = peakRssMib() - rss_before;
 }
-BENCHMARK(BM_FullEmFitnessEvaluation)->Arg(1)->Arg(0);
+BENCHMARK(BM_FullEmFitnessEvaluation);
 
-/** Scope-droop fitness evaluation, streaming vs batch (as above). */
+/** Scope-droop fitness evaluation (as above). */
 void
 BM_FullDroopFitnessEvaluation(benchmark::State &state)
 {
-    const bool streaming = state.range(0) != 0;
     platform::Platform a72(platform::junoA72Config(), 1);
     core::EvalSettings eval;
     eval.duration_s = 4e-6;
-    eval.streaming = streaming;
     core::MaxDroopFitness fitness(a72, eval);
     Rng rng(6);
     const auto kernel = isa::Kernel::random(a72.pool(), 50, rng);
@@ -191,12 +184,11 @@ BM_FullDroopFitnessEvaluation(benchmark::State &state)
     ga::EvalDetail detail;
     for (auto _ : state)
         benchmark::DoNotOptimize(fitness.evaluate(kernel, &detail));
-    state.SetLabel(streaming ? "streaming" : "batch");
     state.counters["samples_buffered"] =
         static_cast<double>(detail.samples_materialized);
     state.counters["peak_rss_growth_mib"] = peakRssMib() - rss_before;
 }
-BENCHMARK(BM_FullDroopFitnessEvaluation)->Arg(1)->Arg(0);
+BENCHMARK(BM_FullDroopFitnessEvaluation);
 
 } // namespace
 

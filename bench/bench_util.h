@@ -234,7 +234,6 @@ budgetDescription(const core::VirusSearchConfig &cfg)
        << ":sa" << cfg.eval.sa_samples
        << ":f" << cfg.eval.f_lo_hz << '-' << cfg.eval.f_hi_hz
        << ":cores" << cfg.eval.active_cores
-       << ":stream" << (cfg.eval.streaming ? 1 : 0)
        << "|metric:" << core::virusMetricName(cfg.metric);
     return os.str();
 }

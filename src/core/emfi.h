@@ -56,9 +56,9 @@ struct EmfiRunOutcome
 
 /**
  * Fire one pulse: arm it on the platform, run the victim kernel
- * (streaming or batch per spec.eval.streaming — bit-identical), run
- * the fault-effects analysis against the armed pulse, and restore
- * the platform's previous arm state (exception-safe).
+ * (streaming), run the fault-effects analysis against the armed
+ * pulse, and restore the platform's previous arm state
+ * (exception-safe).
  */
 EmfiRunOutcome runEmfiPulse(platform::Platform &plat,
                             const EmfiCampaignSpec &spec,

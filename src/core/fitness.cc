@@ -24,13 +24,72 @@ labSecondsPerIndividual(const ga::ConnectionLatency &lat,
         + lat.per_sample_s * static_cast<double>(samples);
 }
 
-/// Per-metric noise salts: the same kernel measured through
-/// different instruments must not see correlated noise.
-constexpr std::uint64_t kEmNoiseSalt = 0x454d5f414d504cull;
-constexpr std::uint64_t kDroopNoiseSalt = 0x44524f4f50ull;
-constexpr std::uint64_t kP2pNoiseSalt = 0x5032505full;
+/**
+ * Where the sample stream of (key, attempt) truncates: an index in
+ * [0, n) when a TruncatedStream fault is scheduled (drawn uniformly
+ * from the schedule's parameter stream), n when the stream completes.
+ */
+std::size_t
+truncationCutoff(const ga::FaultInjector *injector, std::uint64_t key,
+                 std::uint32_t attempt, std::size_t n)
+{
+    if (!injector || n == 0)
+        return n;
+    const FaultSchedule &sched = injector->schedule();
+    if (!sched.fires(FaultPoint::TruncatedStream, key, attempt))
+        return n;
+    const double u = sched.unitDraw(FaultPoint::TruncatedStream, key,
+                                    attempt, /*salt=*/1);
+    return static_cast<std::size_t>(u * static_cast<double>(n));
+}
 
 } // namespace
+
+void
+PlatformFitness::streamMeasurement(const isa::Kernel &kernel,
+                                   std::uint32_t attempt, Tap tap,
+                                   double measure_s,
+                                   const SinkFactory &make_sink) const
+{
+    const std::uint64_t key = kernel.hash();
+    // Link-level faults before any simulation work happens.
+    faultAt(FaultPoint::ConnectionTimeout, key, attempt,
+            latency_.deploy_s + latency_.timeout_s);
+    faultAt(FaultPoint::KernelHang, key, attempt,
+            latency_.deploy_s + latency_.start_stop_s
+                + latency_.timeout_s);
+    // The scope can fail to trigger on the run: nothing is captured
+    // and the host waits out the trigger timeout.
+    if (tap == Tap::DieVoltage) {
+        faultAt(FaultPoint::TriggerMiss, key, attempt,
+                latency_.deploy_s + latency_.start_stop_s
+                    + latency_.timeout_s);
+    }
+    std::optional<TruncatingSink> trunc;
+    plat().streamKernel(
+        kernel, settings_.duration_s,
+        [&](const platform::StreamPlan &plan) {
+            SampleSink *obs = &make_sink(plan);
+            const std::size_t n = plan.n_samples;
+            const std::size_t cut =
+                truncationCutoff(injector_.get(), key, attempt, n);
+            if (cut < n) {
+                injector_->recordInjected(FaultPoint::TruncatedStream);
+                const double frac =
+                    static_cast<double>(cut) / static_cast<double>(n);
+                trunc.emplace(
+                    *obs, cut,
+                    FaultError(FaultPoint::TruncatedStream, key,
+                               attempt,
+                               measure_s * frac + latency_.timeout_s));
+                obs = &*trunc;
+            }
+            return tap == Tap::Antenna
+                ? platform::StreamObservers{nullptr, nullptr, obs}
+                : platform::StreamObservers{obs, nullptr, nullptr};
+        },
+        settings_.active_cores);
+}
 
 EmAmplitudeFitness::EmAmplitudeFitness(platform::Platform &plat,
                                        const EvalSettings &settings)
@@ -54,83 +113,39 @@ EmAmplitudeFitness::evaluate(const isa::Kernel &kernel,
                              ga::EvalDetail *detail,
                              std::uint32_t attempt)
 {
-    const std::uint64_t key = kernel.hash();
-    // Link-level faults before any simulation work happens.
-    faultAt(FaultPoint::ConnectionTimeout, key, attempt,
-            latency_.deploy_s + latency_.timeout_s);
-    faultAt(FaultPoint::KernelHang, key, attempt,
-            latency_.deploy_s + latency_.start_stop_s
-                + latency_.timeout_s);
+    const double measure_s =
+        labSecondsPerIndividual(latency_, settings_.sa_samples);
+    // The antenna voltage streams straight into a Goertzel band
+    // detector: no waveform is ever buffered.
+    std::optional<instruments::SaBandDetector> det;
+    streamMeasurement(
+        kernel, attempt, Tap::Antenna, measure_s,
+        [&](const platform::StreamPlan &plan) -> SampleSink & {
+            const double rate = 1.0 / plan.dt;
+            if (!bank_ || bank_n_ != plan.n_samples
+                || bank_rate_hz_ != rate) {
+                bank_ = std::make_unique<dsp::GoertzelBank>(
+                    plan.n_samples, rate, settings_.f_lo_hz,
+                    settings_.f_hi_hz,
+                    plat().analyzer().params().window);
+                bank_n_ = plan.n_samples;
+                bank_rate_hz_ = rate;
+            }
+            return det.emplace(plat().analyzer().params(), *bank_,
+                               settings_.f_lo_hz, settings_.f_hi_hz);
+        });
     Rng noise = noiseFor(kernel, kEmNoiseSalt);
-    instruments::SaMarker marker;
-    std::size_t materialized = 0;
-    if (settings_.streaming) {
-        // Stream the antenna voltage straight into a Goertzel band
-        // detector: no waveform is ever buffered. A scheduled
-        // TruncatedStream fault interposes a TruncatingSink, which
-        // unwinds streamKernel mid-capture at a schedule-drawn
-        // cutoff.
-        std::optional<instruments::SaBandDetector> det;
-        std::optional<TruncatingSink> trunc;
-        plat().streamKernel(
-            kernel, settings_.duration_s,
-            [&](const platform::StreamPlan &plan) {
-                const double rate = 1.0 / plan.dt;
-                if (!bank_ || bank_n_ != plan.n_samples
-                    || bank_rate_hz_ != rate) {
-                    bank_ = std::make_unique<dsp::GoertzelBank>(
-                        plan.n_samples, rate, settings_.f_lo_hz,
-                        settings_.f_hi_hz,
-                        plat().analyzer().params().window);
-                    bank_n_ = plan.n_samples;
-                    bank_rate_hz_ = rate;
-                }
-                det.emplace(plat().analyzer().params(), *bank_,
-                            settings_.f_lo_hz, settings_.f_hi_hz);
-                SampleSink *em_obs = &*det;
-                const std::size_t cut =
-                    truncationCutoff(key, attempt, plan.n_samples);
-                if (cut < plan.n_samples) {
-                    injector_->recordInjected(
-                        FaultPoint::TruncatedStream);
-                    const double frac = static_cast<double>(cut)
-                        / static_cast<double>(plan.n_samples);
-                    trunc.emplace(
-                        *em_obs, cut,
-                        FaultError(FaultPoint::TruncatedStream, key,
-                                   attempt,
-                                   labSecondsPerIndividual(
-                                       latency_,
-                                       settings_.sa_samples)
-                                           * frac
-                                       + latency_.timeout_s));
-                    em_obs = &*trunc;
-                }
-                return platform::StreamObservers{nullptr, nullptr,
-                                                 em_obs};
-            },
-            settings_.active_cores);
-        marker = det->averagedMaxAmplitude(settings_.sa_samples,
-                                           noise);
-    } else {
-        const auto run = plat().runKernelBatch(
-            kernel, settings_.duration_s, settings_.active_cores);
-        materialized =
-            run.v_die.size() + run.i_die.size() + run.em.size();
-        marker = plat().analyzer().averagedMaxAmplitude(
-            run.em, settings_.f_lo_hz, settings_.f_hi_hz,
-            settings_.sa_samples, noise);
-    }
+    const instruments::SaMarker marker =
+        det->averagedMaxAmplitude(settings_.sa_samples, noise);
     // The analyzer can return a corrupt marker: the measurement ran
     // to completion, so its full cost is wasted.
-    faultAt(FaultPoint::GlitchedReading, key, attempt,
-            labSecondsPerIndividual(latency_, settings_.sa_samples));
+    faultAt(FaultPoint::GlitchedReading, kernel.hash(), attempt,
+            measure_s);
     if (detail) {
         detail->dominant_freq_hz = marker.freq_hz;
         detail->metric_raw = marker.power_dbm;
-        detail->measurement_seconds =
-            labSecondsPerIndividual(latency_, settings_.sa_samples);
-        detail->samples_materialized = materialized;
+        detail->measurement_seconds = measure_s;
+        detail->samples_materialized = 0;
     }
     return marker.power_dbm;
 }
@@ -146,101 +161,57 @@ EmAmplitudeFitness::clone() const
     return copy;
 }
 
-MaxDroopFitness::MaxDroopFitness(platform::Platform &plat,
-                                 const EvalSettings &settings)
-    : PlatformFitness(plat, settings)
+ScopeFitness::ScopeFitness(platform::Platform &plat,
+                           const EvalSettings &settings,
+                           std::uint64_t noise_salt)
+    : PlatformFitness(plat, settings), noise_salt_(noise_salt)
 {
     requireConfig(plat.hasVoltageVisibility(),
-                  "droop fitness requires direct voltage "
+                  "scope fitness requires direct voltage "
                   "measurement; use EmAmplitudeFitness on "
                       + plat.config().name);
 }
 
 double
-MaxDroopFitness::evaluate(const isa::Kernel &kernel,
-                          ga::EvalDetail *detail)
+ScopeFitness::evaluate(const isa::Kernel &kernel,
+                       ga::EvalDetail *detail)
 {
     return evaluate(kernel, detail, 0);
 }
 
 double
-MaxDroopFitness::evaluate(const isa::Kernel &kernel,
-                          ga::EvalDetail *detail,
-                          std::uint32_t attempt)
+ScopeFitness::evaluate(const isa::Kernel &kernel,
+                       ga::EvalDetail *detail, std::uint32_t attempt)
 {
-    const std::uint64_t key = kernel.hash();
-    faultAt(FaultPoint::ConnectionTimeout, key, attempt,
-            latency_.deploy_s + latency_.timeout_s);
-    faultAt(FaultPoint::KernelHang, key, attempt,
-            latency_.deploy_s + latency_.start_stop_s
-                + latency_.timeout_s);
-    // The scope can fail to trigger on the run: nothing is captured
-    // and the host waits out the trigger timeout.
-    faultAt(FaultPoint::TriggerMiss, key, attempt,
-            latency_.deploy_s + latency_.start_stop_s
-                + latency_.timeout_s);
-    Rng noise = noiseFor(kernel, kDroopNoiseSalt);
-    double droop = 0.0;
-    std::size_t materialized = 0;
+    // Scope-based measurement is quicker than 30 SA samples.
+    const double measure_s = labSecondsPerIndividual(latency_, 3);
+    Rng noise = noiseFor(kernel, noise_salt_);
     std::optional<instruments::ScopeCaptureSink> sink;
-    std::optional<TruncatingSink> trunc;
-    Trace batch_cap(1.0);
-    if (settings_.streaming) {
-        // Stream the die voltage into the scope front end; only the
-        // bounded record is buffered. TruncatedStream faults unwind
-        // the stream mid-capture through a TruncatingSink.
-        plat().streamKernel(
-            kernel, settings_.duration_s,
-            [&](const platform::StreamPlan &plan) {
-                sink.emplace(plat().scope().params(), plan.n_samples,
-                             plan.dt, noise);
-                SampleSink *v_obs = &*sink;
-                const std::size_t cut =
-                    truncationCutoff(key, attempt, plan.n_samples);
-                if (cut < plan.n_samples) {
-                    injector_->recordInjected(
-                        FaultPoint::TruncatedStream);
-                    const double frac = static_cast<double>(cut)
-                        / static_cast<double>(plan.n_samples);
-                    trunc.emplace(
-                        *v_obs, cut,
-                        FaultError(FaultPoint::TruncatedStream, key,
-                                   attempt,
-                                   labSecondsPerIndividual(latency_,
-                                                           3)
-                                           * frac
-                                       + latency_.timeout_s));
-                    v_obs = &*trunc;
-                }
-                return platform::StreamObservers{v_obs, nullptr,
-                                                 nullptr};
-            },
-            settings_.active_cores);
-        droop = sink->maxDroop(plat().voltage());
-        materialized = sink->capture().size();
-    } else {
-        const auto run = plat().runKernelBatch(
-            kernel, settings_.duration_s, settings_.active_cores);
-        batch_cap = plat().scope().capture(run.v_die, noise);
-        droop = instruments::Oscilloscope::maxDroop(batch_cap,
-                                                    plat().voltage());
-        materialized = run.v_die.size() + run.i_die.size()
-            + run.em.size() + batch_cap.size();
-    }
+    streamMeasurement(
+        kernel, attempt, Tap::DieVoltage, measure_s,
+        [&](const platform::StreamPlan &plan) -> SampleSink & {
+            return sink.emplace(plat().scope().params(),
+                                plan.n_samples, plan.dt, noise);
+        });
+    const double value = statistic(*sink);
     if (detail) {
-        const Trace &cap =
-            settings_.streaming ? sink->capture() : batch_cap;
-        const auto spec = instruments::Oscilloscope::fftView(cap);
+        const auto spec =
+            instruments::Oscilloscope::fftView(sink->capture());
         const auto pk = dsp::maxPeakInBand(spec, settings_.f_lo_hz,
                                            settings_.f_hi_hz);
         detail->dominant_freq_hz = pk.freq_hz;
-        detail->metric_raw = droop;
-        // Scope-based measurement is quicker than 30 SA samples.
-        detail->measurement_seconds =
-            labSecondsPerIndividual(latency_, 3);
-        detail->samples_materialized = materialized;
+        detail->metric_raw = value;
+        detail->measurement_seconds = measure_s;
+        detail->samples_materialized = sink->capture().size();
     }
-    return droop;
+    return value;
+}
+
+double
+MaxDroopFitness::statistic(
+    const instruments::ScopeCaptureSink &capture) const
+{
+    return capture.maxDroop(plat().voltage());
 }
 
 std::unique_ptr<ga::FitnessEvaluator>
@@ -253,94 +224,11 @@ MaxDroopFitness::clone() const
     return copy;
 }
 
-PeakToPeakFitness::PeakToPeakFitness(platform::Platform &plat,
-                                     const EvalSettings &settings)
-    : PlatformFitness(plat, settings)
-{
-    requireConfig(plat.hasVoltageVisibility(),
-                  "peak-to-peak fitness requires direct voltage "
-                  "measurement; use EmAmplitudeFitness on "
-                      + plat.config().name);
-}
-
 double
-PeakToPeakFitness::evaluate(const isa::Kernel &kernel,
-                            ga::EvalDetail *detail)
+PeakToPeakFitness::statistic(
+    const instruments::ScopeCaptureSink &capture) const
 {
-    return evaluate(kernel, detail, 0);
-}
-
-double
-PeakToPeakFitness::evaluate(const isa::Kernel &kernel,
-                            ga::EvalDetail *detail,
-                            std::uint32_t attempt)
-{
-    const std::uint64_t key = kernel.hash();
-    faultAt(FaultPoint::ConnectionTimeout, key, attempt,
-            latency_.deploy_s + latency_.timeout_s);
-    faultAt(FaultPoint::KernelHang, key, attempt,
-            latency_.deploy_s + latency_.start_stop_s
-                + latency_.timeout_s);
-    faultAt(FaultPoint::TriggerMiss, key, attempt,
-            latency_.deploy_s + latency_.start_stop_s
-                + latency_.timeout_s);
-    Rng noise = noiseFor(kernel, kP2pNoiseSalt);
-    double p2p = 0.0;
-    std::size_t materialized = 0;
-    std::optional<instruments::ScopeCaptureSink> sink;
-    std::optional<TruncatingSink> trunc;
-    Trace batch_cap(1.0);
-    if (settings_.streaming) {
-        plat().streamKernel(
-            kernel, settings_.duration_s,
-            [&](const platform::StreamPlan &plan) {
-                sink.emplace(plat().scope().params(), plan.n_samples,
-                             plan.dt, noise);
-                SampleSink *v_obs = &*sink;
-                const std::size_t cut =
-                    truncationCutoff(key, attempt, plan.n_samples);
-                if (cut < plan.n_samples) {
-                    injector_->recordInjected(
-                        FaultPoint::TruncatedStream);
-                    const double frac = static_cast<double>(cut)
-                        / static_cast<double>(plan.n_samples);
-                    trunc.emplace(
-                        *v_obs, cut,
-                        FaultError(FaultPoint::TruncatedStream, key,
-                                   attempt,
-                                   labSecondsPerIndividual(latency_,
-                                                           3)
-                                           * frac
-                                       + latency_.timeout_s));
-                    v_obs = &*trunc;
-                }
-                return platform::StreamObservers{v_obs, nullptr,
-                                                 nullptr};
-            },
-            settings_.active_cores);
-        p2p = sink->peakToPeak();
-        materialized = sink->capture().size();
-    } else {
-        const auto run = plat().runKernelBatch(
-            kernel, settings_.duration_s, settings_.active_cores);
-        batch_cap = plat().scope().capture(run.v_die, noise);
-        p2p = instruments::Oscilloscope::peakToPeak(batch_cap);
-        materialized = run.v_die.size() + run.i_die.size()
-            + run.em.size() + batch_cap.size();
-    }
-    if (detail) {
-        const Trace &cap =
-            settings_.streaming ? sink->capture() : batch_cap;
-        const auto spec = instruments::Oscilloscope::fftView(cap);
-        const auto pk = dsp::maxPeakInBand(spec, settings_.f_lo_hz,
-                                           settings_.f_hi_hz);
-        detail->dominant_freq_hz = pk.freq_hz;
-        detail->metric_raw = p2p;
-        detail->measurement_seconds =
-            labSecondsPerIndividual(latency_, 3);
-        detail->samples_materialized = materialized;
-    }
-    return p2p;
+    return capture.peakToPeak();
 }
 
 std::unique_ptr<ga::FitnessEvaluator>

@@ -20,6 +20,8 @@
 #ifndef EMSTRESS_CORE_FITNESS_H
 #define EMSTRESS_CORE_FITNESS_H
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -43,22 +45,26 @@ struct EvalSettings
     double f_hi_hz = mega(200.0);       ///< EM search band end.
     std::size_t sa_samples = 30;  ///< Spectrum samples per individual.
     std::size_t active_cores = 0; ///< 0 = all powered cores.
-    bool streaming = true;        ///< Stream samples into the
-                                  ///< instruments (O(1) memory in
-                                  ///< duration); false replays the
-                                  ///< batch-trace oracle path.
 };
+
+/// Per-metric noise salts: the same kernel measured through
+/// different instruments must not see correlated noise. Public so a
+/// test oracle can draw the evaluators' exact noise streams.
+inline constexpr std::uint64_t kEmNoiseSalt = 0x454d5f414d504cull;
+inline constexpr std::uint64_t kDroopNoiseSalt = 0x44524f4f50ull;
+inline constexpr std::uint64_t kP2pNoiseSalt = 0x5032505full;
 
 /**
  * Common base of the platform-bound evaluators: holds the platform
- * (by reference, or owned when the evaluator is a clone) and derives
- * the per-kernel noise stream. Optionally binds a FaultInjector: the
- * derived evaluators then consult it at their measurement-chain
- * fault points and throw FaultError on scheduled faults, which the
- * GA's batch evaluator retries. Aborted attempts leave no platform
- * state behind (noise streams are per-evaluation locals and the PDN
- * engine cache is geometry-keyed), so the retried measurement is
- * bit-identical to an unfaulted one.
+ * (by reference, or owned when the evaluator is a clone), derives
+ * the per-kernel noise stream and runs the one streaming measurement
+ * every evaluator shares. Optionally binds a FaultInjector: the
+ * measurement then consults it at the chain's fault points and
+ * throws FaultError on scheduled faults, which the GA's batch
+ * evaluator retries. Aborted attempts leave no platform state behind
+ * (noise streams are per-evaluation locals and the PDN engine cache
+ * is geometry-keyed), so the retried measurement is bit-identical to
+ * an unfaulted one.
  */
 class PlatformFitness : public ga::FitnessEvaluator
 {
@@ -109,27 +115,32 @@ class PlatformFitness : public ga::FitnessEvaluator
             injector_->at(point, key, attempt, cost_seconds);
     }
 
-    /**
-     * Where the sample stream of (key, attempt) truncates: an index
-     * in [0, n) when a TruncatedStream fault is scheduled (drawn
-     * uniformly from the schedule's parameter stream), n when the
-     * stream completes. The caller wraps its instrument sink in a
-     * TruncatingSink when the cutoff lands inside the stream.
-     */
-    std::size_t
-    truncationCutoff(std::uint64_t key, std::uint32_t attempt,
-                     std::size_t n) const
+    /** Platform tap an instrument observes. */
+    enum class Tap
     {
-        if (!injector_ || n == 0)
-            return n;
-        const FaultSchedule &sched = injector_->schedule();
-        if (!sched.fires(FaultPoint::TruncatedStream, key, attempt))
-            return n;
-        const double u = sched.unitDraw(FaultPoint::TruncatedStream,
-                                        key, attempt, /*salt=*/1);
-        return static_cast<std::size_t>(
-            u * static_cast<double>(n));
-    }
+        DieVoltage, ///< Scope (OC-DSO / Kelvin pads): triggered.
+        Antenna,    ///< Spectrum analyzer: free-running.
+    };
+
+    /** Builds a run's instrument sink once its plan is known. */
+    using SinkFactory =
+        std::function<SampleSink &(const platform::StreamPlan &)>;
+
+    /**
+     * Stream one run of `kernel` into the instrument sink that
+     * `make_sink` builds, never buffering a full-rate waveform. The
+     * fault points fire in chain order: connection timeout and
+     * kernel hang, then (for the triggered scope tap) trigger miss,
+     * then a TruncatedStream fault, which interposes a TruncatingSink
+     * that unwinds the stream at a schedule-drawn cutoff and charges
+     * that fraction of `measure_s` plus the timeout.
+     *
+     * @param measure_s Modeled lab seconds of the full measurement.
+     */
+    void streamMeasurement(const isa::Kernel &kernel,
+                           std::uint32_t attempt, Tap tap,
+                           double measure_s,
+                           const SinkFactory &make_sink) const;
 
     platform::Platform *plat_;
     std::shared_ptr<platform::Platform> owned_;
@@ -175,21 +186,51 @@ class EmAmplitudeFitness : public PlatformFitness
 };
 
 /**
- * Maximum-droop fitness through the platform's scope (OC-DSO or
- * Kelvin pads). Fitness unit: volts of droop below nominal.
+ * Common body of the scope-based evaluators: stream the die voltage
+ * into the platform's scope front end (only the bounded record is
+ * buffered) and score the capture. Subclasses pick the noise salt
+ * and the statistic.
  * @throws ConfigError at construction when the platform has no
  *         voltage visibility.
  */
-class MaxDroopFitness : public PlatformFitness
+class ScopeFitness : public PlatformFitness
 {
   public:
-    MaxDroopFitness(platform::Platform &plat,
-                    const EvalSettings &settings);
-
     double evaluate(const isa::Kernel &kernel,
                     ga::EvalDetail *detail) override;
     double evaluate(const isa::Kernel &kernel, ga::EvalDetail *detail,
                     std::uint32_t attempt) override;
+
+  protected:
+    ScopeFitness(platform::Platform &plat, const EvalSettings &settings,
+                 std::uint64_t noise_salt);
+
+    /** Clone constructor. */
+    ScopeFitness(std::shared_ptr<platform::Platform> owned,
+                 const EvalSettings &settings, std::uint64_t noise_salt)
+        : PlatformFitness(std::move(owned), settings),
+          noise_salt_(noise_salt)
+    {}
+
+    /** The fitness of one finished capture. */
+    virtual double
+    statistic(const instruments::ScopeCaptureSink &capture) const = 0;
+
+  private:
+    std::uint64_t noise_salt_;
+};
+
+/**
+ * Maximum-droop fitness through the platform's scope (OC-DSO or
+ * Kelvin pads). Fitness unit: volts of droop below nominal.
+ */
+class MaxDroopFitness : public ScopeFitness
+{
+  public:
+    MaxDroopFitness(platform::Platform &plat,
+                    const EvalSettings &settings)
+        : ScopeFitness(plat, settings, kDroopNoiseSalt)
+    {}
 
     std::string metricName() const override { return "max-droop"; }
 
@@ -198,21 +239,21 @@ class MaxDroopFitness : public PlatformFitness
   private:
     MaxDroopFitness(std::shared_ptr<platform::Platform> owned,
                     const EvalSettings &settings)
-        : PlatformFitness(std::move(owned), settings)
+        : ScopeFitness(std::move(owned), settings, kDroopNoiseSalt)
     {}
+
+    double statistic(
+        const instruments::ScopeCaptureSink &capture) const override;
 };
 
 /** Peak-to-peak voltage fitness through the platform's scope. */
-class PeakToPeakFitness : public PlatformFitness
+class PeakToPeakFitness : public ScopeFitness
 {
   public:
     PeakToPeakFitness(platform::Platform &plat,
-                      const EvalSettings &settings);
-
-    double evaluate(const isa::Kernel &kernel,
-                    ga::EvalDetail *detail) override;
-    double evaluate(const isa::Kernel &kernel, ga::EvalDetail *detail,
-                    std::uint32_t attempt) override;
+                      const EvalSettings &settings)
+        : ScopeFitness(plat, settings, kP2pNoiseSalt)
+    {}
 
     std::string metricName() const override { return "peak-to-peak"; }
 
@@ -221,8 +262,11 @@ class PeakToPeakFitness : public PlatformFitness
   private:
     PeakToPeakFitness(std::shared_ptr<platform::Platform> owned,
                       const EvalSettings &settings)
-        : PlatformFitness(std::move(owned), settings)
+        : ScopeFitness(std::move(owned), settings, kP2pNoiseSalt)
     {}
+
+    double statistic(
+        const instruments::ScopeCaptureSink &capture) const override;
 };
 
 /**

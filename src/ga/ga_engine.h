@@ -88,11 +88,11 @@ struct EvalDetail
                                    ///< (dBm, volts...).
     double measurement_seconds = 0.0; ///< Lab time this measurement
                                       ///< would have taken (Sec 3.2).
-    std::size_t samples_materialized = 0; ///< Full-rate waveform
-                                          ///< samples buffered for
-                                          ///< this evaluation (0 on
-                                          ///< the streaming path save
-                                          ///< bounded captures).
+    std::size_t samples_materialized = 0; ///< Waveform samples
+                                          ///< buffered for this
+                                          ///< evaluation (only the
+                                          ///< scope's bounded
+                                          ///< capture; 0 for EM).
 };
 
 /**

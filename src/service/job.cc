@@ -123,7 +123,10 @@ jobDescription(const JobSpec &spec)
        << ":sa" << spec.eval.sa_samples
        << ":f" << spec.eval.f_lo_hz << '-' << spec.eval.f_hi_hz
        << ":cores" << spec.eval.active_cores
-       << ":stream" << (spec.eval.streaming ? 1 : 0)
+       // Fixed term with no setting behind it: stored and spilled
+       // artifacts are addressed by this description, so dropping
+       // it would move every fingerprint.
+       << ":stream1"
        << "|metric:" << core::virusMetricName(spec.metric);
     // Active-mode fields extend the description; the passive form
     // stays byte-identical to the pre-EMFI service, so (a) stored

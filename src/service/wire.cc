@@ -187,7 +187,6 @@ encodeJobSpec(WireWriter &w, const JobSpec &spec)
     w.f64(e.f_hi_hz);
     w.u64(e.sa_samples);
     w.u64(e.active_cores);
-    w.u8(e.streaming ? 1 : 0);
 
     w.u8(static_cast<std::uint8_t>(spec.mode));
     const EmfiJobSpec &fi = spec.emfi;
@@ -198,11 +197,10 @@ encodeJobSpec(WireWriter &w, const JobSpec &spec)
     w.f64(fi.t0_max_s);
     w.f64(fi.amplitude_max_a);
 
-    // Scheduling identity (version 2), appended last so the
-    // result-defining prefix of the body stays byte-stable across
-    // protocol versions. Like the tenant, neither field is part of
-    // the content fingerprint: they change job *latency*, never job
-    // *results*.
+    // Scheduling identity (version 2), appended last so adding it
+    // left the result-defining prefix of the body byte-stable. Like
+    // the tenant, neither field is part of the content fingerprint:
+    // they change job *latency*, never job *results*.
     w.u8(static_cast<std::uint8_t>(spec.job_class));
     w.f64(spec.deadline_s);
 }
@@ -239,7 +237,6 @@ decodeJobSpec(WireReader &r)
     e.f_hi_hz = r.f64();
     e.sa_samples = static_cast<std::size_t>(r.u64());
     e.active_cores = static_cast<std::size_t>(r.u64());
-    e.streaming = r.u8() != 0;
 
     spec.mode = modeFromWire(r.u8());
     EmfiJobSpec &fi = spec.emfi;

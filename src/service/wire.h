@@ -62,8 +62,10 @@ namespace service {
 
 /** Protocol version exchanged in kPing/kPong. Version 2 added resume
  *  tokens on kSubmit, the kResume/kResumed pair and the priority
- *  class + deadline fields of JobSpec. */
-inline constexpr std::uint32_t kProtocolVersion = 2;
+ *  class + deadline fields of JobSpec. Version 3 removed the eval
+ *  block's streaming byte (the streaming measurement is the only
+ *  one), so a version-2 kSubmit body is one byte too long. */
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /** Upper bound on a frame body (malformed-stream guard). */
 inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;

@@ -242,6 +242,17 @@ TEST(JobModel, CrossModeSpecsNeverShareAnArtifact)
     EXPECT_EQ(store.stats().hits, 1u);
 }
 
+TEST(JobModel, FingerprintsOfDefaultSpecsArePinned)
+{
+    // Stored and spilled artifacts are addressed by these values: a
+    // change to jobDescription that moves them orphans every artifact
+    // already on disk.
+    JobSpec spec;
+    EXPECT_EQ(jobFingerprint(spec), 0xb38f174e948e326full);
+    spec.mode = JobMode::kActiveEmfi;
+    EXPECT_EQ(jobFingerprint(spec), 0x530b5e36245bd1f6ull);
+}
+
 TEST(JobModel, PresetNamesRoundTrip)
 {
     for (const PlatformPreset p :
@@ -286,7 +297,6 @@ TEST(WireCodec, SpecRoundTripsEveryField)
     spec.eval.f_hi_hz = 1.9e8;
     spec.eval.sa_samples = 12;
     spec.eval.active_cores = 2;
-    spec.eval.streaming = false;
     spec.job_class = JobClass::kInteractive;
     spec.deadline_s = 12.5;
     spec.mode = JobMode::kActiveEmfi;
@@ -327,7 +337,6 @@ TEST(WireCodec, SpecRoundTripsEveryField)
     EXPECT_EQ(bits(back.eval.f_hi_hz), bits(spec.eval.f_hi_hz));
     EXPECT_EQ(back.eval.sa_samples, spec.eval.sa_samples);
     EXPECT_EQ(back.eval.active_cores, spec.eval.active_cores);
-    EXPECT_EQ(back.eval.streaming, spec.eval.streaming);
     EXPECT_EQ(back.mode, spec.mode);
     EXPECT_EQ(back.emfi.victim_seed, spec.emfi.victim_seed);
     EXPECT_EQ(back.emfi.victim_length, spec.emfi.victim_length);

@@ -6,7 +6,10 @@
  * sinks (streamKernel, SaBandDetector, ScopeCaptureSink) must agree
  * with it — exactly for waveforms and scope metrics, to within
  * 1e-6 dB for the Goertzel-vs-FFT band maximum — all the way up to
- * identical GA search results across thread counts.
+ * identical GA search results across thread counts. The batch path
+ * is a test oracle only: the evaluators always stream, and
+ * BatchOracleFitness below rebuilds their measurement from batch
+ * traces.
  */
 
 #include <algorithm>
@@ -20,6 +23,8 @@
 #include "core/fitness.h"
 #include "core/resonance_explorer.h"
 #include "core/virus_generator.h"
+#include "dsp/spectrum.h"
+#include "ga/ga_engine.h"
 #include "instruments/oscilloscope.h"
 #include "instruments/spectrum_analyzer.h"
 #include "platform/platform.h"
@@ -33,12 +38,11 @@ namespace core {
 namespace {
 
 EvalSettings
-fastEval(bool streaming)
+fastEval()
 {
     EvalSettings s;
     s.duration_s = 2e-6;
     s.sa_samples = 3;
-    s.streaming = streaming;
     return s;
 }
 
@@ -225,15 +229,85 @@ TEST(StreamingInstruments, ScopeCaptureSinkMatchesBatchCapture)
 }
 
 // ---------------------------------------------------------------
-// Fitness evaluators: streaming vs batch oracle.
+// Fitness evaluators vs the batch-trace oracle.
 // ---------------------------------------------------------------
+
+/**
+ * Batch-trace oracle of the platform evaluators: runKernelBatch,
+ * then SpectrumAnalyzer::averagedMaxAmplitude or
+ * Oscilloscope::capture, drawing the streaming evaluator's own
+ * per-kernel noise stream (noiseFor with the metric's salt) and
+ * reporting its lab-time model. Serial only (not cloneable).
+ */
+class BatchOracleFitness : public PlatformFitness
+{
+  public:
+    BatchOracleFitness(platform::Platform &plat,
+                       const EvalSettings &settings,
+                       VirusMetric metric)
+        : PlatformFitness(plat, settings), metric_(metric)
+    {}
+
+    double
+    evaluate(const isa::Kernel &kernel, ga::EvalDetail *detail) override
+    {
+        const auto run = plat().runKernelBatch(
+            kernel, settings_.duration_s, settings_.active_cores);
+        const std::size_t run_samples =
+            run.v_die.size() + run.i_die.size() + run.em.size();
+        if (metric_ == VirusMetric::EmAmplitude) {
+            Rng noise = noiseFor(kernel, kEmNoiseSalt);
+            const auto marker = plat().analyzer().averagedMaxAmplitude(
+                run.em, settings_.f_lo_hz, settings_.f_hi_hz,
+                settings_.sa_samples, noise);
+            if (detail) {
+                detail->dominant_freq_hz = marker.freq_hz;
+                detail->metric_raw = marker.power_dbm;
+                detail->measurement_seconds =
+                    labSeconds(settings_.sa_samples);
+                detail->samples_materialized = run_samples;
+            }
+            return marker.power_dbm;
+        }
+        const bool droop = metric_ == VirusMetric::MaxDroop;
+        Rng noise =
+            noiseFor(kernel, droop ? kDroopNoiseSalt : kP2pNoiseSalt);
+        const Trace cap = plat().scope().capture(run.v_die, noise);
+        const double value =
+            droop ? instruments::Oscilloscope::maxDroop(cap,
+                                                        plat().voltage())
+                  : instruments::Oscilloscope::peakToPeak(cap);
+        if (detail) {
+            const auto pk = dsp::maxPeakInBand(
+                instruments::Oscilloscope::fftView(cap),
+                settings_.f_lo_hz, settings_.f_hi_hz);
+            detail->dominant_freq_hz = pk.freq_hz;
+            detail->metric_raw = value;
+            detail->measurement_seconds = labSeconds(3);
+            detail->samples_materialized = run_samples + cap.size();
+        }
+        return value;
+    }
+
+    std::string metricName() const override { return "batch-oracle"; }
+
+  private:
+    double
+    labSeconds(std::size_t samples) const
+    {
+        return latency_.deploy_s + latency_.start_stop_s
+            + latency_.per_sample_s * static_cast<double>(samples);
+    }
+
+    VirusMetric metric_;
+};
 
 TEST(StreamingFitness, EmAmplitudeAgreesWithBatchWithinMicroDb)
 {
     platform::Platform plat(platform::junoA72Config(), 3);
     plat.setFrequency(560e6);
-    EmAmplitudeFitness streaming(plat, fastEval(true));
-    EmAmplitudeFitness batch(plat, fastEval(false));
+    EmAmplitudeFitness streaming(plat, fastEval());
+    BatchOracleFitness batch(plat, fastEval(), VirusMetric::EmAmplitude);
 
     Rng rng(21);
     const isa::Kernel kernels[] = {
@@ -247,6 +321,7 @@ TEST(StreamingFitness, EmAmplitudeAgreesWithBatchWithinMicroDb)
         const double fb = batch.evaluate(k, &db);
         EXPECT_NEAR(fs, fb, 1e-6);
         EXPECT_DOUBLE_EQ(ds.dominant_freq_hz, db.dominant_freq_hz);
+        EXPECT_EQ(ds.measurement_seconds, db.measurement_seconds);
         // The streaming path buffers no full-rate waveform.
         EXPECT_EQ(ds.samples_materialized, 0u);
         EXPECT_GT(db.samples_materialized, 10000u);
@@ -257,10 +332,10 @@ TEST(StreamingFitness, ScopeMetricsAreBitIdenticalToBatch)
 {
     platform::Platform plat(platform::junoA72Config(), 3);
     plat.setFrequency(560e6);
-    MaxDroopFitness droop_s(plat, fastEval(true));
-    MaxDroopFitness droop_b(plat, fastEval(false));
-    PeakToPeakFitness p2p_s(plat, fastEval(true));
-    PeakToPeakFitness p2p_b(plat, fastEval(false));
+    MaxDroopFitness droop_s(plat, fastEval());
+    BatchOracleFitness droop_b(plat, fastEval(), VirusMetric::MaxDroop);
+    PeakToPeakFitness p2p_s(plat, fastEval());
+    BatchOracleFitness p2p_b(plat, fastEval(), VirusMetric::PeakToPeak);
 
     Rng rng(22);
     const isa::Kernel kernels[] = {
@@ -273,6 +348,7 @@ TEST(StreamingFitness, ScopeMetricsAreBitIdenticalToBatch)
         // the last bit, not merely within 1e-9 V.
         EXPECT_EQ(droop_s.evaluate(k, &ds), droop_b.evaluate(k, &db));
         EXPECT_EQ(ds.dominant_freq_hz, db.dominant_freq_hz);
+        EXPECT_EQ(ds.measurement_seconds, db.measurement_seconds);
         EXPECT_LT(ds.samples_materialized, db.samples_materialized);
         EXPECT_EQ(p2p_s.evaluate(k, nullptr),
                   p2p_b.evaluate(k, nullptr));
@@ -280,48 +356,57 @@ TEST(StreamingFitness, ScopeMetricsAreBitIdenticalToBatch)
 }
 
 // ---------------------------------------------------------------
-// GA: identical results across streaming/batch and thread counts.
+// GA: the streaming search matches an oracle-driven search and is
+// identical across thread counts.
 // ---------------------------------------------------------------
 
 VirusReport
-runSearch(VirusMetric metric, bool streaming, std::size_t threads)
+runSearch(VirusMetric metric, std::size_t threads)
 {
     platform::Platform plat(platform::junoA72Config(), 3);
     VirusGenerator gen(plat);
     VirusSearchConfig cfg;
     cfg.ga = fastGa();
     cfg.ga.threads = threads;
-    cfg.eval = fastEval(streaming);
+    cfg.eval = fastEval();
     cfg.metric = metric;
     return gen.search(cfg);
 }
 
+/** The same search driven by the batch-trace oracle evaluator. */
+ga::GaResult
+runOracleSearch(VirusMetric metric)
+{
+    platform::Platform plat(platform::junoA72Config(), 3);
+    BatchOracleFitness oracle(plat, fastEval(), metric);
+    ga::GaEngine engine(plat.pool(), fastGa());
+    return engine.run(oracle);
+}
+
 TEST(StreamingGa, DroopSearchIdenticalAcrossModesAndThreads)
 {
-    const auto oracle = runSearch(VirusMetric::MaxDroop, false, 1);
+    const auto oracle = runOracleSearch(VirusMetric::MaxDroop);
     for (std::size_t threads : {1u, 2u, 8u}) {
-        const auto r =
-            runSearch(VirusMetric::MaxDroop, true, threads);
-        EXPECT_EQ(r.virus, oracle.virus) << threads << " threads";
-        EXPECT_EQ(r.ga.best_fitness, oracle.ga.best_fitness);
+        const auto r = runSearch(VirusMetric::MaxDroop, threads);
+        EXPECT_EQ(r.virus, oracle.best) << threads << " threads";
+        EXPECT_EQ(r.ga.best_fitness, oracle.best_fitness);
         EXPECT_EQ(r.ga.estimated_lab_seconds,
-                  oracle.ga.estimated_lab_seconds);
-        ASSERT_EQ(r.ga.history.size(), oracle.ga.history.size());
+                  oracle.estimated_lab_seconds);
+        ASSERT_EQ(r.ga.history.size(), oracle.history.size());
         for (std::size_t g = 0; g < r.ga.history.size(); ++g) {
             EXPECT_EQ(r.ga.history[g].best_fitness,
-                      oracle.ga.history[g].best_fitness);
+                      oracle.history[g].best_fitness);
             EXPECT_EQ(r.ga.history[g].mean_fitness,
-                      oracle.ga.history[g].mean_fitness);
+                      oracle.history[g].mean_fitness);
         }
     }
 }
 
 TEST(StreamingGa, EmSearchIdenticalAcrossThreadsAndNearBatch)
 {
-    const auto serial = runSearch(VirusMetric::EmAmplitude, true, 1);
+    const auto serial = runSearch(VirusMetric::EmAmplitude, 1);
     for (std::size_t threads : {2u, 8u}) {
-        const auto r =
-            runSearch(VirusMetric::EmAmplitude, true, threads);
+        const auto r = runSearch(VirusMetric::EmAmplitude, threads);
         EXPECT_EQ(r.virus, serial.virus) << threads << " threads";
         EXPECT_EQ(r.ga.best_fitness, serial.ga.best_fitness);
     }
@@ -329,13 +414,13 @@ TEST(StreamingGa, EmSearchIdenticalAcrossThreadsAndNearBatch)
     // only in the last bits (~1e-12 relative), far inside the GA's
     // selection margins: same winner, same convergence history to
     // within the 1e-6 dB budget.
-    const auto batch = runSearch(VirusMetric::EmAmplitude, false, 1);
-    EXPECT_EQ(serial.virus, batch.virus);
-    EXPECT_NEAR(serial.ga.best_fitness, batch.ga.best_fitness, 1e-6);
-    ASSERT_EQ(serial.ga.history.size(), batch.ga.history.size());
+    const auto oracle = runOracleSearch(VirusMetric::EmAmplitude);
+    EXPECT_EQ(serial.virus, oracle.best);
+    EXPECT_NEAR(serial.ga.best_fitness, oracle.best_fitness, 1e-6);
+    ASSERT_EQ(serial.ga.history.size(), oracle.history.size());
     for (std::size_t g = 0; g < serial.ga.history.size(); ++g)
         EXPECT_NEAR(serial.ga.history[g].best_fitness,
-                    batch.ga.history[g].best_fitness, 1e-6);
+                    oracle.history[g].best_fitness, 1e-6);
 }
 
 // ---------------------------------------------------------------

@@ -195,6 +195,55 @@ TEST(WireRobustness, GarbageTypeByteRejected)
 }
 
 // ---------------------------------------------------------------
+// Version-2 kSubmit bodies (eval block still carrying the streaming
+// byte that version 3 removed).
+// ---------------------------------------------------------------
+
+TEST(WireRobustness, Version2SubmitBodyRejected)
+{
+    // A version-3 spec body ends with mode (u8), six EMFI fields
+    // (4 x u64 + 2 x f64), job class (u8) and deadline (f64); the
+    // version-2 eval byte sat right before that tail.
+    constexpr std::size_t kTailAfterEval = 1 + 6 * 8 + 1 + 8;
+
+    JobSpec passive;
+    JobSpec active;
+    active.mode = JobMode::kActiveEmfi;
+    active.job_class = JobClass::kInteractive;
+    active.deadline_s = 3.5;
+    active.emfi.target_slot = 1;
+    for (const JobSpec &spec : {passive, active}) {
+        for (const std::uint8_t eval_byte :
+             {std::uint8_t{0}, std::uint8_t{1}}) {
+            WireWriter w;
+            w.u64(0xabcdef); // resume token
+            encodeJobSpec(w, spec);
+            std::vector<std::uint8_t> body = w.bytes();
+            const std::size_t at = body.size() - kTailAfterEval;
+            ASSERT_EQ(body[at], static_cast<std::uint8_t>(spec.mode));
+            body.insert(body.begin() + static_cast<std::ptrdiff_t>(at),
+                        eval_byte);
+
+            // Decode exactly as the server's kSubmit handler does:
+            // the misaligned tail fails an enum check or leaves one
+            // byte for expectEnd, so no spec is ever returned.
+            WireReader r(body.data(), body.size());
+            EXPECT_THROW(
+                {
+                    (void)r.u64();
+                    const JobSpec s = decodeJobSpec(r);
+                    r.expectEnd();
+                    ADD_FAILURE() << "decoded a version-2 body";
+                    (void)s;
+                },
+                ProtocolError)
+                << "mode=" << static_cast<int>(spec.mode)
+                << " eval byte=" << static_cast<int>(eval_byte);
+        }
+    }
+}
+
+// ---------------------------------------------------------------
 // Resume codec pair.
 // ---------------------------------------------------------------
 
