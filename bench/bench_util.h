@@ -28,7 +28,7 @@
 #include "platform/platform.h"
 #include "util/metrics.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
+#include "util/worker_fleet.h"
 
 namespace emstress {
 namespace bench {

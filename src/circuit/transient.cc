@@ -7,8 +7,6 @@
 #include "circuit/transient.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 #include "util/error.h"
 #include "util/metrics.h"
@@ -18,27 +16,7 @@ namespace circuit {
 
 namespace {
 
-/**
- * Resolve TransientMethod::Auto. The environment knob is an
- * operational escape hatch for parity debugging and A/B timing; the
- * two paths it selects between agree only to kStateUpdateParityTol
- * (documented in DESIGN.md §12 and pinned by
- * tests/test_transient_parity.cc), which is why the annotation below
- * is `parity-tolerance` rather than the result-neutral `env-config`.
- */
-TransientMethod
-resolveMethod(TransientMethod method)
-{
-    if (method != TransientMethod::Auto)
-        return method;
-    const char *env =
-        std::getenv("EMSTRESS_TRANSIENT_PATH"); // lint: parity-tolerance
-    if (env != nullptr && std::string_view(env) == "lu")
-        return TransientMethod::ReferenceLu;
-    return TransientMethod::FastState;
-}
-
-/** Counter credited per advanced step for a resolved method. */
+/** Counter credited per advanced step for a method. */
 const char *
 solveCounterFor(TransientMethod method)
 {
@@ -90,7 +68,7 @@ TransientResult::trace(const std::string &label) const
 
 TransientAnalysis::TransientAnalysis(const Netlist &netlist, double dt,
                                      TransientMethod method)
-    : dt_(dt), mna_(netlist), method_(resolveMethod(method)),
+    : dt_(dt), mna_(netlist), method_(method),
       rhs_mult_(mna_.size(), mna_.size())
 {
     requireConfig(dt > 0.0, "transient dt must be positive");

@@ -106,9 +106,6 @@ struct TransientResult
 /** Which step implementation a TransientAnalysis uses. */
 enum class TransientMethod
 {
-    /// FastState unless EMSTRESS_TRANSIENT_PATH=lu requests the
-    /// reference path for the whole process.
-    Auto,
     /// Precomputed dense state-update (default; fast).
     FastState,
     /// Per-step LU substitution (reference implementation).
@@ -178,11 +175,11 @@ class TransientAnalysis
      * Prepare the engine.
      * @param netlist Circuit to simulate (copied into the MNA form).
      * @param dt      Fixed timestep in seconds.
-     * @param method  Step implementation; Auto resolves to FastState
-     *                unless EMSTRESS_TRANSIENT_PATH=lu.
+     * @param method  Step implementation (ReferenceLu only for parity
+     *                testing and debugging).
      */
     TransientAnalysis(const Netlist &netlist, double dt,
-                      TransientMethod method = TransientMethod::Auto);
+                      TransientMethod method = TransientMethod::FastState);
 
     ~TransientAnalysis();
     TransientAnalysis(TransientAnalysis &&) noexcept;
@@ -194,7 +191,7 @@ class TransientAnalysis
     /** The underlying MNA system (for index queries). */
     const MnaSystem &mna() const { return mna_; }
 
-    /** Resolved step implementation (never Auto). */
+    /** Step implementation in use. */
     TransientMethod method() const { return method_; }
 
     /**

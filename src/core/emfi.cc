@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/error.h"
+#include "util/sample_sink.h"
 
 namespace emstress {
 namespace core {
@@ -57,16 +58,25 @@ runEmfiPulse(platform::Platform &plat, const EmfiCampaignSpec &spec,
 
     PulseArmGuard guard(plat);
     plat.armPulse(pulse);
-    const platform::PlatformRunResult run = plat.runKernel(
-        spec.victim, spec.eval.duration_s, spec.eval.active_cores);
+    // The fault model reads only the die voltage: stream that tap
+    // alone (same samples as runKernel's v_die, no current trace or
+    // antenna coupling).
+    TraceSink v_die(platform::kPdnDt);
+    const uarch::KernelRunStats stats = plat.streamKernel(
+        spec.victim, spec.eval.duration_s,
+        [&](const platform::StreamPlan &plan) {
+            v_die.reserve(plan.n_samples);
+            return platform::StreamObservers{&v_die, nullptr, nullptr};
+        },
+        spec.eval.active_cores);
 
     const vmin::FaultEffectsModel model(spec.effects);
     EmfiRunOutcome outcome;
     outcome.pulse = pulse;
     outcome.energy_j = injector.energyJoules();
     outcome.report =
-        model.analyze(plat.pool(), spec.victim, run.v_die,
-                      plat.frequency(), run.stats, &pulse);
+        model.analyze(plat.pool(), spec.victim, v_die.trace(),
+                      plat.frequency(), stats, &pulse);
     for (const auto &ev : outcome.report.events)
         outcome.target_faulted |= ev.slot == spec.target_slot;
     outcome.target_margin_v =

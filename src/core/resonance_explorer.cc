@@ -12,7 +12,7 @@
 
 #include "util/error.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
+#include "util/worker_fleet.h"
 
 namespace emstress {
 namespace core {
@@ -128,8 +128,8 @@ ResonanceExplorer::sweep(double duration_s, std::size_t sa_samples,
         clones.reserve(workers);
         for (std::size_t w = 0; w < workers; ++w)
             clones.push_back(plat_.clone());
-        ThreadPool pool(workers);
-        pool.parallelFor(n, [&](std::size_t i, std::size_t worker) {
+        WorkerFleet fleet(workers);
+        fleet.run(n, [&](std::size_t i, std::size_t worker) {
             points[i] = measure(*clones[worker], i);
         });
     } else {

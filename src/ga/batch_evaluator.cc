@@ -84,7 +84,7 @@ BatchEvaluator::ensureWorkers()
         clones_.push_back(std::move(c));
     }
     if (config_.fleet == nullptr)
-        pool_ = std::make_unique<ThreadPool>(threads_);
+        owned_fleet_ = std::make_unique<WorkerFleet>(threads_);
     stats_.threads = std::max(stats_.threads, threads_);
     return true;
 }
@@ -154,8 +154,8 @@ BatchEvaluator::evaluate(const std::vector<isa::Kernel> &kernels,
     }
 
     // Phase 2: run the fresh evaluations — in parallel when the
-    // evaluator clones (over the private pool, or as one batch on
-    // the shared fleet), serially in index order otherwise. Each
+    // evaluator clones (as one batch on the shared fleet, or on the
+    // private one), serially in index order otherwise. Each
     // task writes only its own FreshTask entry (including its fault
     // counters), so the results and accounting are independent of
     // scheduling. FaultErrors are retried under the configured
@@ -220,12 +220,13 @@ BatchEvaluator::evaluate(const std::vector<isa::Kernel> &kernels,
         metrics::ScopedPhase task_span("batch.eval_task");
         runOne(*clones_[worker], fresh[i]);
     };
-    if (config_.fleet != nullptr && !fresh.empty()
-        && ensureWorkers()) {
-        config_.fleet->run(fresh.size(), instrumentedTask,
-                           cancel_flag);
-    } else if (fresh.size() > 1 && ensureWorkers()) {
-        pool_->parallelFor(fresh.size(), instrumentedTask);
+    // A shared fleet takes every non-empty batch; a private width
+    // runs a single fresh task serially on base_.
+    const std::size_t min_parallel = config_.fleet != nullptr ? 1 : 2;
+    if (fresh.size() >= min_parallel && ensureWorkers()) {
+        WorkerFleet &fleet = config_.fleet != nullptr ? *config_.fleet
+                                                      : *owned_fleet_;
+        fleet.run(fresh.size(), instrumentedTask, cancel_flag);
     } else {
         for (FreshTask &task : fresh) {
             if (cancel_flag != nullptr

@@ -18,8 +18,8 @@
  *     is on. Keys are Kernel::hash() with full structural equality
  *     verification, so a hash collision degrades to a redundant
  *     evaluation, never a wrong fitness.
- *  3. Parallelism: fresh evaluations fan out either over a private
- *     ThreadPool or — in service mode — over a shared WorkerFleet
+ *  3. Parallelism: fresh evaluations fan out as one WorkerFleet
+ *     batch — on a private fleet, or in service mode on a shared one
  *     multiplexing tasks from many concurrent jobs; either way each
  *     worker uses its own FitnessEvaluator clone. Evaluators that
  *     cannot clone degrade to serial evaluation.
@@ -51,7 +51,6 @@
 #include "ga/ga_engine.h"
 #include "isa/kernel.h"
 #include "util/cancellation.h"
-#include "util/thread_pool.h"
 #include "util/worker_fleet.h"
 
 namespace emstress {
@@ -78,7 +77,7 @@ struct BatchConfig
     RetryPolicy retry;
     /// Shared worker fleet (service mode): fresh evaluations are
     /// submitted as one fleet batch, interleaving with other jobs'
-    /// tasks, instead of running on a private pool. Not owned; must
+    /// tasks, instead of running on a private fleet. Not owned; must
     /// outlive the evaluator.
     WorkerFleet *fleet = nullptr;
     /// Cooperative cancellation: once the token reads true, fresh
@@ -165,7 +164,9 @@ class BatchEvaluator
     std::size_t threads_; ///< Resolved request (>= 1).
     bool clone_failed_ = false;
     std::vector<std::unique_ptr<FitnessEvaluator>> clones_;
-    std::unique_ptr<ThreadPool> pool_;
+    /// Private fleet, built lazily when `config_.fleet` is null and
+    /// more than one thread is resolved.
+    std::unique_ptr<WorkerFleet> owned_fleet_;
     std::unordered_multimap<std::uint64_t, CacheEntry> cache_;
     EvalStats stats_;
 };

@@ -246,11 +246,11 @@ void validateGaConfig(const GaConfig &config);
 /**
  * Service-era extension points threaded into a run's batch
  * evaluator. Default-constructed hooks reproduce the batch-era
- * behavior exactly: a private thread pool and no cancellation.
+ * behavior exactly: a private worker fleet and no cancellation.
  */
 struct BatchHooks
 {
-    /// Shared worker fleet to evaluate on instead of a private pool
+    /// Shared worker fleet to evaluate on instead of a private one
     /// (the fleet's worker count overrides GaConfig::threads). Not
     /// owned; must outlive the run.
     WorkerFleet *fleet = nullptr;

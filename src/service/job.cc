@@ -33,12 +33,20 @@ presetPool(PlatformPreset preset)
     // Immutable after construction; shared by every job and the
     // client-side wire codec. Construction is deterministic, so these
     // are content-identical to the pools platforms build themselves.
+    // Switching on the preset, not presetConfig(preset).isa, keeps
+    // this free of the PDN calibration a full config build runs.
     static const isa::InstructionPool arm =
         isa::InstructionPool::armV8();
     static const isa::InstructionPool x86 =
         isa::InstructionPool::x86Sse2();
-    return presetConfig(preset).isa == isa::IsaFamily::ArmV8 ? arm
-                                                             : x86;
+    switch (preset) {
+    case PlatformPreset::kJunoA72:
+    case PlatformPreset::kJunoA53:
+        return arm;
+    case PlatformPreset::kAthlon:
+        return x86;
+    }
+    throwConfigError("unknown platform preset");
 }
 
 std::string

@@ -1,16 +1,15 @@
 /**
  * @file
- * A shared worker fleet multiplexing task batches from many
- * concurrent producers — the service-era generalization of
- * util/thread_pool.h. Where ThreadPool::parallelFor runs exactly one
- * job at a time (the batch-harness shape: evaluate a generation,
- * join, breed), a WorkerFleet accepts batches from any number of
- * threads at once: each caller blocks only on *its own* batch while
- * the workers drain every admitted batch in admission order, so the
- * evaluation tasks of hundreds of in-flight search jobs share one
- * fixed set of threads.
+ * The project's one worker primitive: a fixed set of persistent
+ * worker threads draining task batches from any number of concurrent
+ * submitters. A GA generation (Section 3.1(b)), a resonance sweep and
+ * the service's multiplexed search jobs all fan out through it: each
+ * caller blocks only on *its own* batch while the workers drain every
+ * admitted batch in admission order, so a private evaluator and the
+ * evaluation tasks of hundreds of in-flight search jobs use the same
+ * code path.
  *
- * Design constraints, mirroring ThreadPool's:
+ * Design constraints:
  *  - Callers own determinism. Each task receives its item index and
  *    the executing worker id; per-worker state (cloned platforms)
  *    is indexed by worker id and reproducible noise derives from the
@@ -26,8 +25,9 @@
  *    cancel flag skips tasks that have not started once the flag is
  *    set. Skipped tasks are *counted and reported* to the submitting
  *    caller only; other batches in flight are untouched.
- *  - The first exception a batch's task throws is rethrown on that
- *    batch's submitting thread after the batch drains.
+ *  - Exceptions propagate: the first exception a batch's task throws
+ *    is rethrown on that batch's submitting thread after the batch
+ *    drains; the batch's other tasks still run.
  */
 
 #ifndef EMSTRESS_UTIL_WORKER_FLEET_H
@@ -36,6 +36,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -43,9 +44,39 @@
 #include <vector>
 
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace emstress {
+
+/**
+ * Number of worker threads to use when a caller asks for "auto"
+ * (thread count 0): the EMSTRESS_THREADS environment variable when
+ * set to a positive integer, otherwise the hardware concurrency
+ * (never less than 1).
+ */
+inline std::size_t
+defaultThreadCount()
+{
+    // Operational knob, not a seed: thread count never changes
+    // results (the determinism suite proves 1/2/8-thread
+    // bit-identity), only how fast they arrive.
+    if (const char *env = std::getenv("EMSTRESS_THREADS")) { // lint: env-config
+        const long v = std::strtol(env, nullptr, 10);
+        if (v >= 1)
+            return static_cast<std::size_t>(v);
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw >= 1 ? hw : 1;
+}
+
+/**
+ * Resolve a requested thread count: 0 means defaultThreadCount(),
+ * anything else is taken literally.
+ */
+inline std::size_t
+resolveThreadCount(std::size_t requested)
+{
+    return requested == 0 ? defaultThreadCount() : requested;
+}
 
 /**
  * Fixed set of persistent workers draining task batches from any
@@ -95,10 +126,11 @@ class WorkerFleet
 
     /**
      * Submit one batch — fn(i, worker) for every i in [0, n) — and
-     * block until every index is executed or skipped. Unlike
-     * ThreadPool::parallelFor this may be called from any number of
-     * threads concurrently (but not from inside a fleet task: a
-     * worker waiting on its own fleet would deadlock the fleet).
+     * block until every index is executed or skipped. May be called
+     * from any number of threads concurrently, but not from inside a
+     * task of this same fleet: a worker waiting on its own fleet
+     * could deadlock it, so that call throws SimulationError (which
+     * then propagates like any task exception).
      *
      * @param n      Item count.
      * @param fn     Task body; each index runs at most once.
@@ -113,6 +145,8 @@ class WorkerFleet
         BatchOutcome out;
         if (n == 0)
             return out;
+        requireSim(current_fleet_ != this,
+                   "WorkerFleet::run called from one of its own tasks");
         Batch batch;
         batch.fn = &fn;
         batch.n = n;
@@ -165,6 +199,7 @@ class WorkerFleet
     void
     workerLoop(std::size_t worker)
     {
+        current_fleet_ = this;
         std::unique_lock<std::mutex> lock(mutex_);
         for (;;) {
             work_cv_.wait(lock, [this] {
@@ -207,6 +242,11 @@ class WorkerFleet
                 batch->done_cv.notify_all();
         }
     }
+
+    /// The fleet whose worker the calling thread is (nullptr on any
+    /// other thread); guards run() against same-fleet nesting.
+    static inline thread_local const WorkerFleet *current_fleet_ =
+        nullptr;
 
     std::vector<std::thread> workers_;
     std::mutex mutex_;

@@ -24,6 +24,7 @@
 #include "ga/ga_engine.h"
 #include "isa/kernel.h"
 #include "isa/pool.h"
+#include "platform/platform.h"
 #include "service/artifact_store.h"
 #include "service/job.h"
 #include "service/scheduler.h"
@@ -264,6 +265,21 @@ TEST(JobModel, PresetNamesRoundTrip)
     }
     PlatformPreset out;
     EXPECT_FALSE(presetFromName("vax", out));
+}
+
+TEST(JobModel, PresetPoolMatchesPlatformPool)
+{
+    // presetPool picks its pool from the preset alone; it must stay
+    // content-identical to the pool the preset's platform builds.
+    for (const PlatformPreset p :
+         {PlatformPreset::kJunoA72, PlatformPreset::kJunoA53,
+          PlatformPreset::kAthlon}) {
+        EXPECT_EQ(presetPool(p).toXmlString(),
+                  platform::Platform(presetConfig(p), 1)
+                      .pool()
+                      .toXmlString())
+            << presetName(p);
+    }
 }
 
 // ---------------------------------------------------------------

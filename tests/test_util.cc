@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the util layer: units, stats, rng, trace, table,
- * thread pool.
+ * worker fleet.
  */
 
 #include <gtest/gtest.h>
@@ -11,13 +11,14 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <thread>
 
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 #include "util/units.h"
+#include "util/worker_fleet.h"
 
 namespace emstress {
 namespace {
@@ -293,111 +294,169 @@ TEST(Trace, SliceAtExactEndIsAllowed)
     EXPECT_TRUE(empty.empty());
 }
 
-TEST(ThreadPool, ParallelForVisitsEveryIndexOnce)
+TEST(WorkerFleet, RunVisitsEveryIndexOnce)
 {
-    ThreadPool pool(4);
+    WorkerFleet fleet(4);
     std::vector<std::atomic<int>> visits(257);
-    pool.parallelFor(visits.size(),
-                     [&](std::size_t i, std::size_t worker) {
-                         EXPECT_LT(worker, 4u);
-                         visits[i].fetch_add(1);
-                     });
+    const auto out =
+        fleet.run(visits.size(), [&](std::size_t i, std::size_t worker) {
+            EXPECT_LT(worker, 4u);
+            visits[i].fetch_add(1);
+        });
+    EXPECT_EQ(out.executed, visits.size());
+    EXPECT_EQ(out.skipped, 0u);
     for (const auto &v : visits)
         EXPECT_EQ(v.load(), 1);
 }
 
-TEST(ThreadPool, ReusableAcrossJobs)
+TEST(WorkerFleet, ReusableAcrossBatches)
 {
-    ThreadPool pool(3);
+    WorkerFleet fleet(3);
     std::atomic<long> sum{0};
-    for (int job = 0; job < 20; ++job)
-        pool.parallelFor(100, [&](std::size_t i, std::size_t) {
+    for (int batch = 0; batch < 20; ++batch)
+        fleet.run(100, [&](std::size_t i, std::size_t) {
             sum.fetch_add(static_cast<long>(i));
         });
     EXPECT_EQ(sum.load(), 20L * (99L * 100L / 2L));
 }
 
-TEST(ThreadPool, PropagatesFirstException)
+TEST(WorkerFleet, PropagatesFirstException)
 {
-    ThreadPool pool(2);
-    EXPECT_THROW(
-        pool.parallelFor(64,
-                         [](std::size_t i, std::size_t) {
-                             if (i == 13)
-                                 throw std::runtime_error("boom");
-                         }),
-        std::runtime_error);
-    // And the pool survives for the next job.
+    WorkerFleet fleet(2);
+    EXPECT_THROW(fleet.run(64,
+                           [](std::size_t i, std::size_t) {
+                               if (i == 13)
+                                   throw std::runtime_error("boom");
+                           }),
+                 std::runtime_error);
+    // And the fleet survives for the next batch.
     std::atomic<int> count{0};
-    pool.parallelFor(8, [&](std::size_t, std::size_t) { ++count; });
+    fleet.run(8, [&](std::size_t, std::size_t) { ++count; });
     EXPECT_EQ(count.load(), 8);
 }
 
-TEST(ThreadPool, ExceptionDoesNotAbandonRemainingItems)
+TEST(WorkerFleet, ExceptionDoesNotAbandonRemainingItems)
 {
     // The first exception is rethrown, but every other index must
     // still run: the GA's batch evaluator relies on a thrown task
     // not silently dropping its neighbours' results.
-    ThreadPool pool(4);
+    WorkerFleet fleet(4);
     std::vector<std::atomic<int>> visits(97);
-    EXPECT_THROW(
-        pool.parallelFor(visits.size(),
-                         [&](std::size_t i, std::size_t) {
-                             visits[i].fetch_add(1);
-                             if (i == 5)
-                                 throw std::runtime_error("boom");
-                         }),
-        std::runtime_error);
+    EXPECT_THROW(fleet.run(visits.size(),
+                           [&](std::size_t i, std::size_t) {
+                               visits[i].fetch_add(1);
+                               if (i == 5)
+                                   throw std::runtime_error("boom");
+                           }),
+                 std::runtime_error);
     for (std::size_t i = 0; i < visits.size(); ++i)
         EXPECT_EQ(visits[i].load(), 1) << "index " << i;
 }
 
-TEST(ThreadPool, NestedParallelForThrows)
+TEST(WorkerFleet, NestedRunThrows)
 {
-    // parallelFor is documented as non-reentrant; a task that calls
-    // back into its own pool must get a SimulationError, which then
-    // propagates to the outer call like any task exception.
-    ThreadPool pool(2);
-    EXPECT_THROW(
-        pool.parallelFor(4,
-                         [&](std::size_t, std::size_t) {
-                             pool.parallelFor(
-                                 1, [](std::size_t, std::size_t) {});
-                         }),
-        SimulationError);
-    // The pool stays usable afterwards.
+    // A task that submits to its own fleet would wait on workers
+    // that may all be waiting too; it must get a SimulationError,
+    // which then propagates to the outer call like any task
+    // exception.
+    WorkerFleet fleet(2);
+    EXPECT_THROW(fleet.run(4,
+                           [&](std::size_t, std::size_t) {
+                               fleet.run(
+                                   1, [](std::size_t, std::size_t) {});
+                           }),
+                 SimulationError);
+    // The fleet stays usable afterwards.
     std::atomic<int> count{0};
-    pool.parallelFor(8, [&](std::size_t, std::size_t) { ++count; });
+    fleet.run(8, [&](std::size_t, std::size_t) { ++count; });
     EXPECT_EQ(count.load(), 8);
 }
 
-TEST(ThreadPool, ShutdownWhileBusyCompletesTheJob)
+TEST(WorkerFleet, ShutdownWhileBusyCompletesTheBatch)
 {
     // Rapid construct / run / destroy cycles race worker startup,
-    // the job hand-off, and shutdown. A worker that observed stop_
-    // together with a fresh epoch used to abandon its share and
-    // leave parallelFor blocked; this loop is the detector.
+    // the batch hand-off, and shutdown; a worker that abandoned its
+    // share on seeing stop_ would leave run() blocked here.
     for (int cycle = 0; cycle < 200; ++cycle) {
         std::atomic<int> count{0};
         {
-            ThreadPool pool(4);
-            pool.parallelFor(16, [&](std::size_t, std::size_t) {
+            WorkerFleet fleet(4);
+            fleet.run(16, [&](std::size_t, std::size_t) {
                 count.fetch_add(1);
             });
             // Destructor runs immediately: stop_ lands while workers
-            // may still be draining or have never woken.
+            // may still be waking or have never woken.
         }
         EXPECT_EQ(count.load(), 16) << "cycle " << cycle;
     }
-    // Construct-and-destroy with no job at all must not hang either.
+    // Construct-and-destroy with no batch at all must not hang either.
     for (int cycle = 0; cycle < 50; ++cycle)
-        ThreadPool idle(3);
+        WorkerFleet idle(3);
 }
 
-TEST(ThreadPool, ResolveThreadCount)
+TEST(WorkerFleet, ResolveThreadCount)
 {
     EXPECT_EQ(resolveThreadCount(3), 3u);
     EXPECT_GE(resolveThreadCount(0), 1u); // auto is at least one
+}
+
+TEST(WorkerFleet, CancellationSkipsUnstartedTasks)
+{
+    // Every task from the tenth to start on sets the flag, so each
+    // worker sees it on its next claim after running one such task:
+    // at most 10 + (workers - 1) tasks run, and every index claimed
+    // later is skipped and never runs.
+    WorkerFleet fleet(2);
+    std::atomic<bool> cancel{false};
+    std::atomic<std::size_t> started{0};
+    constexpr std::size_t n = 200;
+    std::vector<std::atomic<int>> visits(n);
+    const auto out = fleet.run(
+        n,
+        [&](std::size_t i, std::size_t) {
+            visits[i].fetch_add(1);
+            if (started.fetch_add(1) + 1 >= 10)
+                cancel.store(true);
+        },
+        &cancel);
+    EXPECT_EQ(out.executed + out.skipped, n);
+    EXPECT_GE(out.executed, 10u);
+    EXPECT_LE(out.executed, 11u);
+    std::size_t ran = 0;
+    for (const auto &v : visits) {
+        EXPECT_LE(v.load(), 1);
+        ran += static_cast<std::size_t>(v.load());
+    }
+    EXPECT_EQ(ran, out.executed);
+}
+
+TEST(WorkerFleet, ConcurrentSubmittersSeeOnlyTheirOwnIndices)
+{
+    // Four threads submit batches at once; each must see every one of
+    // its own indices exactly once, whatever the interleaving.
+    WorkerFleet fleet(3);
+    constexpr std::size_t submitters = 4;
+    constexpr int rounds = 10;
+    std::vector<std::vector<std::atomic<int>>> visits;
+    for (std::size_t s = 0; s < submitters; ++s)
+        visits.emplace_back(50 + 17 * s);
+    std::vector<std::thread> threads;
+    for (std::size_t s = 0; s < submitters; ++s)
+        threads.emplace_back([&, s] {
+            for (int r = 0; r < rounds; ++r) {
+                const auto out = fleet.run(
+                    visits[s].size(), [&](std::size_t i, std::size_t) {
+                        visits[s][i].fetch_add(1);
+                    });
+                EXPECT_EQ(out.executed, visits[s].size());
+            }
+        });
+    for (auto &t : threads)
+        t.join();
+    for (std::size_t s = 0; s < submitters; ++s)
+        for (std::size_t i = 0; i < visits[s].size(); ++i)
+            EXPECT_EQ(visits[s][i].load(), rounds)
+                << "submitter " << s << " index " << i;
 }
 
 TEST(Trace, ResampleToCoarserGridDecimates)
