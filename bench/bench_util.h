@@ -27,6 +27,7 @@
 #include "core/virus_generator.h"
 #include "platform/platform.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 #include "util/table.h"
 #include "util/worker_fleet.h"
 
@@ -195,19 +196,6 @@ struct BenchVirus
     bool from_cache = false;  ///< Loaded rather than searched.
 };
 
-/** Stable FNV-1a 64-bit hash (cache fingerprinting). */
-inline std::uint64_t
-fnv1a64(std::string_view s)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char ch : s) {
-        h ^= static_cast<std::uint64_t>(
-            static_cast<unsigned char>(ch));
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 /**
  * Human-readable serialization of every budget-defining field of a
  * virus search. Anything that can change the search *result* must
@@ -235,6 +223,10 @@ budgetDescription(const core::VirusSearchConfig &cfg)
        << ":f" << cfg.eval.f_lo_hz << '-' << cfg.eval.f_hi_hz
        << ":cores" << cfg.eval.active_cores
        << "|metric:" << core::virusMetricName(cfg.metric);
+    // Analyzer noise model (keyed per-bin draws): viruses searched
+    // under the earlier model are searched again.
+    if (cfg.metric == core::VirusMetric::EmAmplitude)
+        os << "|sa:keyed1";
     return os.str();
 }
 

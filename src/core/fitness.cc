@@ -115,23 +115,22 @@ EmAmplitudeFitness::evaluate(const isa::Kernel &kernel,
 {
     const double measure_s =
         labSecondsPerIndividual(latency_, settings_.sa_samples);
-    // The antenna voltage streams straight into a Goertzel band
-    // detector: no waveform is ever buffered.
+    // The antenna voltage streams into the band detector, which
+    // captures into the cached plan's buffer: no trace is built.
     std::optional<instruments::SaBandDetector> det;
     streamMeasurement(
         kernel, attempt, Tap::Antenna, measure_s,
         [&](const platform::StreamPlan &plan) -> SampleSink & {
             const double rate = 1.0 / plan.dt;
-            if (!bank_ || bank_n_ != plan.n_samples
-                || bank_rate_hz_ != rate) {
-                bank_ = std::make_unique<dsp::GoertzelBank>(
+            if (!plan_ || plan_->inputSize() != plan.n_samples
+                || plan_rate_hz_ != rate) {
+                plan_ = std::make_unique<dsp::CapturePlan>(
                     plan.n_samples, rate, settings_.f_lo_hz,
                     settings_.f_hi_hz,
                     plat().analyzer().params().window);
-                bank_n_ = plan.n_samples;
-                bank_rate_hz_ = rate;
+                plan_rate_hz_ = rate;
             }
-            return det.emplace(plat().analyzer().params(), *bank_,
+            return det.emplace(plat().analyzer().params(), *plan_,
                                settings_.f_lo_hz, settings_.f_hi_hz);
         });
     Rng noise = noiseFor(kernel, kEmNoiseSalt);

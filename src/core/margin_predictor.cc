@@ -8,11 +8,30 @@
 #include <cmath>
 #include <optional>
 
+#include "dsp/spectrum.h"
+#include "instruments/spectrum_analyzer.h"
 #include "util/error.h"
 #include "util/units.h"
 
 namespace emstress {
 namespace core {
+
+namespace {
+
+/** Build the band detector, and the plan it captures into, for a run. */
+void
+emplaceDetector(platform::Platform &plat, double f_lo_hz,
+                double f_hi_hz, const platform::StreamPlan &run,
+                std::optional<dsp::CapturePlan> &capture,
+                std::optional<instruments::SaBandDetector> &det)
+{
+    const auto &sa = plat.analyzer().params();
+    capture.emplace(run.n_samples, 1.0 / run.dt, f_lo_hz, f_hi_hz,
+                    sa.window);
+    det.emplace(sa, *capture, f_lo_hz, f_hi_hz);
+}
+
+} // namespace
 
 EmMarginPredictor::EmMarginPredictor(platform::Platform &plat,
                                      double f_lo_hz, double f_hi_hz,
@@ -32,13 +51,13 @@ EmMarginPredictor::observeKernel(const isa::Kernel &kernel)
 {
     // One streaming run feeds both instruments: the EM tap into a
     // band detector, the die voltage into the scope front end.
+    std::optional<dsp::CapturePlan> capture;
     std::optional<instruments::SaBandDetector> det;
     std::optional<instruments::ScopeCaptureSink> scope_sink;
     plat_.streamKernel(
         kernel, duration_s_,
         [&](const platform::StreamPlan &plan) {
-            det.emplace(plat_.analyzer().params(), plan.n_samples,
-                        1.0 / plan.dt, f_lo_hz_, f_hi_hz_);
+            emplaceDetector(plat_, f_lo_hz_, f_hi_hz_, plan, capture, det);
             scope_sink.emplace(plat_.scope().params(), plan.n_samples,
                                plan.dt, plat_.scope().noiseStream());
             return platform::StreamObservers{&*scope_sink, nullptr,
@@ -144,12 +163,12 @@ double
 EmMarginPredictor::predictDroopForKernel(const isa::Kernel &kernel)
 {
     // EM-only path: no scope access, no buffered waveform.
+    std::optional<dsp::CapturePlan> capture;
     std::optional<instruments::SaBandDetector> det;
     plat_.streamKernel(
         kernel, duration_s_,
         [&](const platform::StreamPlan &plan) {
-            det.emplace(plat_.analyzer().params(), plan.n_samples,
-                        1.0 / plan.dt, f_lo_hz_, f_hi_hz_);
+            emplaceDetector(plat_, f_lo_hz_, f_hi_hz_, plan, capture, det);
             return platform::StreamObservers{nullptr, nullptr, &*det};
         });
     const auto marker = det->averagedMaxAmplitude(

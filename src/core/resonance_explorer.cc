@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 
+#include "dsp/spectrum.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/worker_fleet.h"
@@ -96,6 +97,7 @@ ResonanceExplorer::sweep(double duration_s, std::size_t sa_samples,
         // known once the core pass has measured the loop, so the
         // detector is built inside the observer factory. A narrow
         // window keeps neighbouring harmonics from leaking in.
+        std::optional<dsp::CapturePlan> capture;
         std::optional<instruments::SaBandDetector> det;
         double f_spike = 0.0;
         plat.streamKernel(
@@ -105,8 +107,11 @@ ResonanceExplorer::sweep(double duration_s, std::size_t sa_samples,
                            "probe loop produced no loop-frequency "
                            "estimate");
                 f_spike = plan.stats.loop_freq_hz;
-                det.emplace(plat.analyzer().params(), plan.n_samples,
-                            1.0 / plan.dt, f_spike * 0.9,
+                const auto &sa = plat.analyzer().params();
+                capture.emplace(plan.n_samples, 1.0 / plan.dt,
+                                f_spike * 0.9, f_spike * 1.1,
+                                sa.window);
+                det.emplace(sa, *capture, f_spike * 0.9,
                             f_spike * 1.1);
                 return platform::StreamObservers{nullptr, nullptr,
                                                  &*det};

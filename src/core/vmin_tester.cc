@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "util/error.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace emstress {
@@ -104,7 +105,7 @@ VminTester::characterizeFromNominal(const std::string &name,
     // Per-(voltage, repeat) synthesis: linear PDN + current ~ V means
     // the deviation waveform scales with V/V_nom; jitter models
     // run-to-run alignment differences.
-    Rng jitter_rng(config_.seed ^ std::hash<std::string>{}(name));
+    Rng jitter_rng(config_.seed ^ fnv1a64(name));
     const double jitter_rel = config_.droop_jitter_rel;
     const Trace &base = v_die_nominal;
     auto runner = [&droop, &base, v_nom, jitter_rel, &jitter_rng](

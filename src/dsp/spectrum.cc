@@ -7,50 +7,83 @@
 
 #include <algorithm>
 #include <cmath>
-#include <complex>
+#include <limits>
 
 #include "dsp/fft.h"
 #include "util/error.h"
-#include "util/stats.h"
 
 namespace emstress {
 namespace dsp {
+
+CapturePlan::CapturePlan(std::size_t n, double sample_rate_hz,
+                         double f_lo, double f_hi, WindowKind window)
+    : kind_(window), window_(makeWindow(window, n)),
+      buffer_(nextPowerOfTwo(std::max<std::size_t>(n, 1))),
+      f_lo_(f_lo), f_hi_(f_hi)
+{
+    requireConfig(n >= 4, "CapturePlan needs at least 4 samples");
+    requireConfig(sample_rate_hz > 0.0,
+                  "CapturePlan sample rate must be positive");
+    requireConfig(f_hi >= f_lo, "CapturePlan band is inverted");
+
+    // Coherent gain from the cached window: the same left-to-right
+    // sum coherentGain() runs, without rebuilding the window.
+    double wsum = 0.0;
+    for (const double w : window_)
+        wsum += w;
+    const double gain = wsum / static_cast<double>(n);
+    // Calibration: a sinusoid of peak amplitude A contributes
+    // |X[k]| = A * n * gain / 2 in its bin, so RMS amplitude
+    // A/sqrt(2) = |X[k]| * sqrt(2) / (n * gain).
+    scale_ = std::sqrt(2.0) / (static_cast<double>(n) * gain);
+    df_ = sample_rate_hz / static_cast<double>(nfft());
+
+    // The grid is monotone in k, so the in-band bins are one run.
+    const std::size_t half = nfft() / 2;
+    std::size_t k = 0;
+    while (k < half && gridFreqHz(k) < f_lo)
+        ++k;
+    band_first_ = k;
+    while (k < half && gridFreqHz(k) <= f_hi)
+        ++k;
+    band_size_ = k - band_first_;
+}
+
+void
+CapturePlan::transform()
+{
+    const std::size_t n = inputSize();
+    double sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        sum += buffer_[i].real();
+    const double mean = sum / static_cast<double>(n);
+    for (std::size_t i = 0; i < n; ++i)
+        buffer_[i] = std::complex<double>(
+            (buffer_[i].real() - mean) * window_[i], 0.0);
+    std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(n),
+              buffer_.end(), std::complex<double>());
+    fftInPlace(buffer_, false);
+}
 
 Spectrum
 computeSpectrum(const Trace &trace, WindowKind window)
 {
     requireConfig(trace.size() >= 4,
                   "computeSpectrum needs at least 4 samples");
-
-    const std::size_t n = trace.size();
-    const auto w = makeWindow(window, n);
-    const double gain = coherentGain(window, n);
-
-    const double mean = stats::mean(trace.samples());
-    std::vector<std::complex<double>> data(nextPowerOfTwo(n));
-    for (std::size_t i = 0; i < n; ++i)
-        data[i] = std::complex<double>((trace[i] - mean) * w[i], 0.0);
-    fftInPlace(data, false);
-
-    const std::size_t nfft = data.size();
-    const std::size_t half = nfft / 2;
-    const double df = trace.sampleRate() / static_cast<double>(nfft);
+    // Every bin of the one-sided grid is "in band".
+    CapturePlan plan(trace.size(), trace.sampleRate(), 0.0,
+                     std::numeric_limits<double>::infinity(), window);
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        plan.setSample(i, trace[i]);
+    plan.transform();
 
     Spectrum out;
-    out.freqs_hz.resize(half);
-    out.amps_vrms.resize(half);
-    // Calibration: a sinusoid of peak amplitude A contributes
-    // |X[k]| = A * n * gain / 2 in its bin, so RMS amplitude
-    // A/sqrt(2) = |X[k]| * sqrt(2) / (n * gain).
-    const double scale = std::sqrt(2.0)
-        / (static_cast<double>(n) * gain);
-    for (std::size_t k = 0; k < half; ++k) {
-        out.freqs_hz[k] = df * static_cast<double>(k);
-        out.amps_vrms[k] = std::abs(data[k]) * scale;
+    out.freqs_hz.resize(plan.size());
+    out.amps_vrms.resize(plan.size());
+    for (std::size_t k = 0; k < plan.size(); ++k) {
+        out.freqs_hz[k] = plan.gridFreqHz(k);
+        out.amps_vrms[k] = plan.amplitudeVrms(k);
     }
-    // DC bin has no sqrt(2) RMS factor; it was removed anyway.
-    if (!out.amps_vrms.empty())
-        out.amps_vrms[0] = 0.0;
     return out;
 }
 
@@ -122,9 +155,12 @@ findPeaks(const Spectrum &spectrum, double f_lo, double f_hi,
         p.freq_hz = f + parabolicOffset(spectrum, k) * spectrum.binWidth();
         peaks.push_back(p);
     }
+    // Equal amplitudes keep ascending bin order, so the kept peaks do
+    // not depend on the library's sort.
     std::sort(peaks.begin(), peaks.end(),
               [](const Peak &x, const Peak &y) {
-                  return x.amp_vrms > y.amp_vrms;
+                  return x.amp_vrms != y.amp_vrms ? x.amp_vrms > y.amp_vrms
+                                                  : x.bin < y.bin;
               });
     if (peaks.size() > max_peaks)
         peaks.resize(max_peaks);

@@ -8,6 +8,7 @@
 #ifndef EMSTRESS_DSP_SPECTRUM_H
 #define EMSTRESS_DSP_SPECTRUM_H
 
+#include <complex>
 #include <cstddef>
 #include <vector>
 
@@ -39,6 +40,98 @@ struct Peak
     double freq_hz = 0.0;   ///< Interpolated peak frequency.
     double amp_vrms = 0.0;  ///< Peak RMS amplitude.
     std::size_t bin = 0;    ///< Index of the hosting bin.
+};
+
+/**
+ * The spectral front end of one capture geometry: the window, the
+ * calibration, the FFT-grid bins inside one band, and a zero-padded
+ * complex buffer the capture is written into. Write the n raw samples
+ * with setSample(), then transform() mean-removes, windows and
+ * transforms the buffer in place; amplitudeVrms() reads any bin.
+ *
+ * computeSpectrum() and the streaming SaBandDetector both run this
+ * one routine, so the streaming and batch spectra agree bit for bit.
+ * Build a plan once per (n, sample rate, band, window) and reuse it
+ * for every capture of that geometry. The buffer serves one capture
+ * at a time: give each concurrent measurement its own plan.
+ */
+class CapturePlan
+{
+  public:
+    /**
+     * @param n              Samples per capture.
+     * @param sample_rate_hz Capture sample rate.
+     * @param f_lo, f_hi     Band of interest: the grid bins f_k =
+     *                       (sample_rate / nfft) * k, k < nfft / 2,
+     *                       with f_lo <= f_k <= f_hi.
+     * @param window         Window shape for leakage control.
+     */
+    CapturePlan(std::size_t n, double sample_rate_hz, double f_lo,
+                double f_hi, WindowKind window);
+
+    /** Samples per capture. */
+    std::size_t inputSize() const { return window_.size(); }
+
+    /** Zero-padded FFT length (the next power of two). */
+    std::size_t nfft() const { return buffer_.size(); }
+
+    /** Bin spacing [Hz], identical to Spectrum::binWidth(). */
+    double binWidthHz() const { return df_; }
+
+    /** Window shape the plan applies. */
+    WindowKind window() const { return kind_; }
+
+    /** Band the plan was built for [Hz]. */
+    double fLoHz() const { return f_lo_; }
+    double fHiHz() const { return f_hi_; }
+
+    /** Number of grid bins inside the band. */
+    std::size_t size() const { return band_size_; }
+
+    /** FFT index of in-band bin i (in-band bins are contiguous). */
+    std::size_t binIndex(std::size_t i) const { return band_first_ + i; }
+
+    /** Grid frequency of FFT bin k [Hz]. */
+    double
+    gridFreqHz(std::size_t k) const
+    {
+        return df_ * static_cast<double>(k);
+    }
+
+    /** Store raw capture sample i (i < inputSize()). */
+    void
+    setSample(std::size_t i, double v)
+    {
+        buffer_[i] = std::complex<double>(v, 0.0);
+    }
+
+    /**
+     * Mean-remove, window, zero-pad and FFT the captured samples in
+     * place. @pre every sample was set since the last transform.
+     */
+    void transform();
+
+    /**
+     * Calibrated RMS amplitude of FFT bin k after transform(): a pure
+     * sinusoid of RMS amplitude A yields A in its bin regardless of
+     * the window. The DC bin reads 0 (the mean was removed).
+     */
+    double
+    amplitudeVrms(std::size_t k) const
+    {
+        return k == 0 ? 0.0 : std::abs(buffer_[k]) * scale_;
+    }
+
+  private:
+    WindowKind kind_;
+    std::vector<double> window_;
+    std::vector<std::complex<double>> buffer_;
+    double df_;
+    double scale_; ///< sqrt(2) / (n * coherent_gain).
+    double f_lo_;
+    double f_hi_;
+    std::size_t band_first_ = 0;
+    std::size_t band_size_ = 0;
 };
 
 /**

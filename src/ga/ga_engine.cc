@@ -239,12 +239,16 @@ GaStepper::step()
     std::vector<char> next_known(config_.population, 0);
 
     // Elitism: carry the fittest individuals unchanged — along
-    // with their already-measured fitness and detail.
+    // with their already-measured fitness and detail. Equal fitness
+    // (e.g. several failed-evaluation sentinels) keeps index order,
+    // so the elites do not depend on the library's sort.
     std::vector<std::size_t> order(population_.size());
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(),
               [this](std::size_t a, std::size_t b) {
-                  return fitness_[a] > fitness_[b];
+                  return fitness_[a] != fitness_[b]
+                      ? fitness_[a] > fitness_[b]
+                      : a < b;
               });
     for (std::size_t e = 0; e < config_.elite; ++e) {
         const std::size_t src = order[e];

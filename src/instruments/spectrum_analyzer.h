@@ -13,10 +13,10 @@
 #define EMSTRESS_INSTRUMENTS_SPECTRUM_ANALYZER_H
 
 #include <cstddef>
-#include <optional>
+#include <cstdint>
+#include <span>
 #include <vector>
 
-#include "dsp/goertzel.h"
 #include "dsp/spectrum.h"
 #include "util/rng.h"
 #include "util/sample_sink.h"
@@ -54,75 +54,87 @@ struct SaMarker
     double power_dbm = -200.0;
 };
 
+/** A sweep's band maximum in linear power. */
+struct SaBandMax
+{
+    double freq_hz = 0.0;
+    double power_w = 0.0; ///< [W]
+};
+
 /**
- * Streaming band-max detector: the SampleSink counterpart of feeding
- * a received-voltage trace through sweep() + maxAmplitude(). A
- * Goertzel bank watches only the FFT-grid bins inside [f_lo, f_hi],
- * so memory is O(band bins), not O(capture). Measurement noise
- * replays the batch path's draw order exactly — three gaussians per
- * displayed bin, ascending frequency — so a given Rng stream yields
- * the same markers as the batch instrument (amplitudes agree to the
- * Goertzel recurrence's ~1e-12 relative rounding).
+ * One sweep's noisy maximum over consecutive displayed FFT-grid bins:
+ * the measurement-noise model every analyzer path shares. Bin k (its
+ * FFT index) reads the power
  *
- * Not copyable or movable: the Goertzel accumulator references the
- * bank member. Construct in place (e.g. std::optional::emplace).
+ *     P = P_signal * 10^(g / 10) + floor * E,
+ *
+ * with per-sweep gain ripple g ~ N(0, gain_error_db) and a noise
+ * floor whose Rayleigh-like variation E ~ Exp(1) is half a chi-square
+ * with two degrees of freedom. Both come from keyedNormal and
+ * keyedExponential on the bin key mixSeed(mixSeed(key, sweep), k), so
+ * a level depends only on (key, sweep, k): a full-display sweep and a
+ * band detector agree at every bin they share, and a sweep draws only
+ * the bins it reads.
+ *
+ * @param amps_vrms  Signal amplitudes of bins first_bin, first_bin+1...
+ * @param levels_dbm When non-null, receives every bin's level.
+ * @return The highest bin above the default marker's level (the
+ *         lowest frequency wins ties) in linear power; the default
+ *         marker's frequency and level when no bin exceeds it.
+ */
+SaBandMax noisyBandMax(const SpectrumAnalyzerParams &params,
+                      std::span<const double> amps_vrms,
+                      std::size_t first_bin, double bin_width_hz,
+                      std::uint64_t key, std::uint64_t sweep,
+                      double *levels_dbm = nullptr);
+
+/**
+ * Streaming band-max detector: the SampleSink form of
+ * SpectrumAnalyzer::averagedMaxAmplitude (which runs through it). The
+ * capture goes into a dsp::CapturePlan's buffer and is transformed by
+ * the routine computeSpectrum() runs; only the displayed in-band
+ * amplitudes are kept, and noisyBandMax draws noise for those bins
+ * alone.
  */
 class SaBandDetector final : public SampleSink
 {
   public:
     /**
-     * @param params         Analyzer settings (display span, noise).
-     * @param n_in           Samples the stream will push (the batch
-     *                       capture length).
-     * @param sample_rate_hz Input sample rate.
-     * @param f_lo, f_hi     Measurement band for the marker search.
+     * @param params     Analyzer settings (display span, noise).
+     * @param plan       Plan built for this capture length and sample
+     *                   rate, the band [f_lo, f_hi] and params.window.
+     *                   The detector captures into the plan's buffer,
+     *                   so the plan must outlive it and serve no other
+     *                   capture meanwhile.
+     * @param f_lo, f_hi Measurement band for the marker search.
      */
     SaBandDetector(const SpectrumAnalyzerParams &params,
-                   std::size_t n_in, double sample_rate_hz,
-                   double f_lo, double f_hi);
-
-    /**
-     * Share a prebuilt bank instead of constructing one: building a
-     * bank costs a full pass of the recurrence, so callers that
-     * measure the same capture geometry repeatedly (e.g. GA fitness
-     * evaluation) should build the bank once and reuse it. The bank
-     * must have been constructed with this same (n_in, sample rate,
-     * f_lo, f_hi) tuple and must outlive the detector.
-     */
-    SaBandDetector(const SpectrumAnalyzerParams &params,
-                   const dsp::GoertzelBank &bank, double f_lo,
-                   double f_hi);
+                   dsp::CapturePlan &plan, double f_lo, double f_hi);
 
     SaBandDetector(const SaBandDetector &) = delete;
     SaBandDetector &operator=(const SaBandDetector &) = delete;
 
-    void push(double v) override { goertzel_.push(v); }
+    void push(double v) override;
+
+    /** Transform the capture. @pre every sample was pushed. */
+    void finish() override;
 
     /**
-     * One noisy sweep's band maximum, as maxAmplitude(sweep(...)).
-     * @pre the full capture has been pushed.
-     */
-    SaMarker maxAmplitude(Rng &noise) const;
-
-    /**
-     * The paper's RMS-of-N-sweeps statistic, matching the batch
-     * SpectrumAnalyzer::averagedMaxAmplitude draw for draw.
-     * @pre the full capture has been pushed.
+     * The paper's RMS-of-N-sweeps statistic: sweep i draws its noise
+     * with sweep index i under one key, a single noise.bits() draw.
+     * @pre finish() has run.
      */
     SaMarker averagedMaxAmplitude(std::size_t n_samples,
                                   Rng &noise) const;
 
   private:
-    /** Replay one display sweep over precomputed band amplitudes. */
-    SaMarker sweepMax(const std::vector<double> &amps,
-                      Rng &noise) const;
-
     SpectrumAnalyzerParams params_;
-    double f_lo_;
-    double f_hi_;
-    std::optional<dsp::GoertzelBank> owned_bank_;
-    const dsp::GoertzelBank &bank_; ///< owned_bank_ or the caller's.
-    dsp::GoertzelAccumulator goertzel_;
+    dsp::CapturePlan &plan_;
+    std::size_t count_ = 0;
+    bool finished_ = false;
+    std::size_t first_bin_ = 0; ///< FFT index of amps_[0].
+    /// Displayed in-band amplitudes, filled by finish().
+    std::vector<double> amps_;
 };
 
 /**
@@ -141,14 +153,16 @@ class SpectrumAnalyzer
     /**
      * The instrument's internal measurement-noise stream. Streaming
      * detectors draw from it to replicate the non-const batch
-     * methods, advancing the state identically.
+     * methods, advancing the state identically (one bits() draw per
+     * sweep() or averagedMaxAmplitude() call).
      */
     Rng &noiseStream() { return rng_; }
 
     /**
      * Acquire one sweep from a received voltage trace. Bins outside
-     * [f_start, f_stop] are discarded; every bin is clamped at the
-     * noise floor and perturbed by gain error and floor noise.
+     * [f_start, f_stop] are discarded; every bin is perturbed by gain
+     * error and floor noise (noisyBandMax, sweep index 0, keyed by
+     * one bits() draw).
      */
     SaSweep sweep(const Trace &v_received);
 
@@ -170,7 +184,8 @@ class SpectrumAnalyzer
      * same signal (fresh measurement noise each), take the max
      * amplitude in [f_lo, f_hi] per sweep, and return the RMS of the
      * linear amplitudes converted back to dBm, along with the modal
-     * peak frequency.
+     * peak frequency. Runs the trace through an SaBandDetector, so
+     * the batch and streaming statistics are one computation.
      */
     SaMarker averagedMaxAmplitude(const Trace &v_received, double f_lo,
                                   double f_hi, std::size_t n_samples);

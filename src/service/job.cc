@@ -9,9 +9,41 @@
 
 #include "platform/platform.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace emstress {
 namespace service {
+
+namespace {
+
+/**
+ * The preset's calibrated config, built once per process: the PDN
+ * calibration presetConfig() runs is deterministic, and a config
+ * never changes after it is built. Function-local statics initialize
+ * thread-safely, so concurrent runners share each one.
+ */
+const platform::PlatformConfig &
+calibratedConfig(PlatformPreset preset)
+{
+    switch (preset) {
+    case PlatformPreset::kJunoA72: {
+        static const platform::PlatformConfig a72 = presetConfig(preset);
+        return a72;
+    }
+    case PlatformPreset::kJunoA53: {
+        static const platform::PlatformConfig a53 = presetConfig(preset);
+        return a53;
+    }
+    case PlatformPreset::kAthlon: {
+        static const platform::PlatformConfig athlon =
+            presetConfig(preset);
+        return athlon;
+    }
+    }
+    throwConfigError("unknown platform preset");
+}
+
+} // namespace
 
 platform::PlatformConfig
 presetConfig(PlatformPreset preset)
@@ -136,12 +168,12 @@ jobDescription(const JobSpec &spec)
        // it would move every fingerprint.
        << ":stream1"
        << "|metric:" << core::virusMetricName(spec.metric);
-    // Active-mode fields extend the description; the passive form
-    // stays byte-identical to the pre-EMFI service, so (a) stored
-    // passive artifacts from older deployments remain addressable
-    // and (b) an active spec can never collide with a passive one
-    // that matches it field-for-field — the "|mode:emfi" suffix
-    // alone separates the preimages.
+    // Active-mode fields extend the description, so an active spec
+    // can never collide with a passive one that matches it
+    // field-for-field: the "|mode:emfi" suffix alone separates the
+    // preimages. Scope-metric passive forms stay byte-identical to
+    // the pre-EMFI service, so their stored artifacts remain
+    // addressable.
     if (spec.mode == JobMode::kActiveEmfi) {
         os << "|mode:" << jobModeName(spec.mode)
            << "|victim:seed" << spec.emfi.victim_seed
@@ -150,6 +182,11 @@ jobDescription(const JobSpec &spec)
            << "|sched:" << spec.emfi.schedule_seed
            << "|grid:t0" << spec.emfi.t0_max_s
            << ":amp" << spec.emfi.amplitude_max_a;
+    } else if (spec.metric == core::VirusMetric::EmAmplitude) {
+        // Analyzer noise model: keyed per-bin draws. Results of the
+        // earlier replayed-stream model are no longer reproducible,
+        // so they must not be served for a new spec.
+        os << "|sa:keyed1";
     }
     return os.str();
 }
@@ -159,14 +196,7 @@ jobFingerprint(const JobSpec &spec)
 {
     // FNV-1a 64-bit, the same construction the cross-bench virus
     // cache fingerprints budgets with.
-    const std::string s = jobDescription(spec);
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char ch : s) {
-        h ^= static_cast<std::uint64_t>(
-            static_cast<unsigned char>(ch));
-        h *= 1099511628211ull;
-    }
-    return h;
+    return fnv1a64(jobDescription(spec));
 }
 
 std::unique_ptr<ga::FitnessEvaluator>
@@ -176,7 +206,7 @@ makePlatformEvaluator(const JobSpec &spec)
     // PlatformFitness::clone replicates the platform, so the returned
     // evaluator carries its own simulation stack and remains valid
     // after the local platform dies.
-    platform::Platform plat(presetConfig(spec.platform),
+    platform::Platform plat(calibratedConfig(spec.platform),
                             spec.platform_seed);
     if (spec.mode == JobMode::kActiveEmfi) {
         requireConfig(spec.emfi.victim_length > 0,

@@ -9,11 +9,14 @@
 #ifndef EMSTRESS_UTIL_RNG_H
 #define EMSTRESS_UTIL_RNG_H
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <span>
+#include <string_view>
 
 #include "util/error.h"
+#include "util/units.h"
 
 namespace emstress {
 
@@ -42,6 +45,59 @@ mixSeed(std::uint64_t a, std::uint64_t b)
 }
 
 /**
+ * FNV-1a 64-bit hash of a byte string: a fully specified name-to-key
+ * map (unlike std::hash, whose values are implementation-defined),
+ * used for artifact fingerprints and name-derived seeds. The offset
+ * basis is the project's historical constant (the published basis
+ * without its last digit); stored fingerprints were made with it.
+ */
+inline std::uint64_t
+fnv1a64(std::string_view s)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (const char ch : s) {
+        h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(ch));
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/**
+ * Keyed (counter-based) draws: the value depends only on
+ * (key, counter), so a consumer can draw exactly the values it reads,
+ * in any order. Every algorithm is written out, so the streams are
+ * the same on any conforming standard library.
+ */
+
+/** Uniform double in (0, 1]: the counter-th draw of stream `key`. */
+inline double
+keyedUniform(std::uint64_t key, std::uint64_t counter)
+{
+    // Top 53 bits, shifted up by one ulp so log() never sees zero.
+    return static_cast<double>((mixSeed(key, counter) >> 11) + 1)
+        * 0x1.0p-53;
+}
+
+/**
+ * Standard normal from keyed uniforms 2*counter and 2*counter+1
+ * (Box-Muller, cosine branch).
+ */
+inline double
+keyedNormal(std::uint64_t key, std::uint64_t counter)
+{
+    const double u1 = keyedUniform(key, 2 * counter);
+    const double u2 = keyedUniform(key, 2 * counter + 1);
+    return std::sqrt(-2.0 * std::log(u1)) * std::cos(kTwoPi * u2);
+}
+
+/** Unit-mean exponential from keyed uniform `counter` (-ln u). */
+inline double
+keyedExponential(std::uint64_t key, std::uint64_t counter)
+{
+    return -std::log(keyedUniform(key, counter));
+}
+
+/**
  * Seeded pseudo-random source wrapping std::mt19937_64 with the
  * convenience draws the library needs. Cheap to copy; copies evolve
  * independently, which forks a reproducible sub-stream.
@@ -56,8 +112,16 @@ class Rng
     Rng
     fork()
     {
-        return Rng(engine_());
+        return Rng(bits());
     }
+
+    /**
+     * One raw 64-bit engine output. std::mt19937_64 is fully
+     * specified by the standard, so this (unlike the distribution
+     * draws below) is library-independent: use it to key
+     * keyedUniform() and friends.
+     */
+    std::uint64_t bits() { return engine_(); }
 
     /** Uniform double in [lo, hi). */
     double
@@ -106,9 +170,6 @@ class Rng
     {
         return items[index(items.size())];
     }
-
-    /** Underlying engine access for std distributions. */
-    std::mt19937_64 &engine() { return engine_; }
 
   private:
     std::mt19937_64 engine_;

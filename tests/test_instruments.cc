@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "dsp/spectrum.h"
 #include "instruments/oscilloscope.h"
 #include "instruments/scl.h"
 #include "instruments/spectrum_analyzer.h"
@@ -99,6 +101,86 @@ TEST(SpectrumAnalyzer, AveragedMarkerFindsDominantFrequency)
     const auto t = sineTrace(76e6, 0.02, 4e9, 16384);
     const auto m = sa.averagedMaxAmplitude(t, 50e6, 200e6, 10);
     EXPECT_NEAR(m.freq_hz, 76e6, 4e9 / 16384.0 * 2);
+}
+
+TEST(SpectrumAnalyzer, BandDetectorMatchesFullSweepAtEveryBin)
+{
+    // Keyed noise: a level depends only on (key, sweep, bin), so a
+    // detector watching one bin reads exactly the level a
+    // full-display sweep drew there under the same key.
+    SpectrumAnalyzerParams params;
+    const SpectrumAnalyzer sa(params, Rng(1));
+    const auto t = sineTrace(67e6, 0.01, 4e9, 2000);
+    Rng sweep_noise(99);
+    const SaSweep full = sa.sweep(t, sweep_noise);
+    std::size_t checked = 0;
+    for (std::size_t j = 0; j < full.size(); ++j) {
+        const double f = full.freqs_hz[j];
+        if (f < 50e6 || f > 200e6)
+            continue;
+        dsp::CapturePlan plan(t.size(), t.sampleRate(), f, f,
+                              params.window);
+        ASSERT_EQ(plan.size(), 1u);
+        SaBandDetector det(params, plan, f, f);
+        for (const double v : t.samples())
+            det.push(v);
+        det.finish();
+        Rng noise(99);
+        const SaMarker m = det.averagedMaxAmplitude(1, noise);
+        EXPECT_EQ(m.power_dbm, full.power_dbm[j]) << f;
+        EXPECT_EQ(m.freq_hz, f);
+        ++checked;
+    }
+    EXPECT_GT(checked, 70u);
+}
+
+TEST(SpectrumAnalyzer, NoiseModelDistributionOverManyBins)
+{
+    SpectrumAnalyzerParams params;
+    SpectrumAnalyzer sa(params, Rng(6));
+    const double fs = 4e9;
+    const std::size_t n = 16384;
+    constexpr std::size_t kBins = 100000;
+
+    // Floor only: a silent input reads floor * Exp(1), mean floor.
+    const Trace quiet(std::vector<double>(n, 0.0), 1.0 / fs);
+    double sum_w = 0.0;
+    std::size_t bins = 0;
+    while (bins < kBins) {
+        for (const double dbm : sa.sweep(quiet).power_dbm) {
+            sum_w += dbmToWatts(dbm);
+            ++bins;
+        }
+    }
+    const double floor_w = dbmToWatts(params.noise_floor_dbm);
+    EXPECT_NEAR(sum_w / static_cast<double>(bins) / floor_w, 1.0,
+                0.02);
+
+    // Gain ripple only: an impulse is flat across the display span,
+    // and a floor 140 dB below it leaves each level's offset from
+    // the clean spectrum equal to the sweep's ripple draw.
+    params.noise_floor_dbm = -200.0;
+    SpectrumAnalyzer ripple(params, Rng(7));
+    std::vector<double> impulse(n, 0.0);
+    impulse[n / 2] = 1.0;
+    const Trace pulse(impulse, 1.0 / fs);
+    const dsp::Spectrum clean = dsp::computeSpectrum(pulse, params.window);
+    std::vector<double> gain_db;
+    gain_db.reserve(kBins + 4096);
+    while (gain_db.size() < kBins) {
+        const SaSweep sw = ripple.sweep(pulse);
+        std::size_t k = 0;
+        while (clean.freqs_hz[k] != sw.freqs_hz[0])
+            ++k;
+        for (std::size_t j = 0; j < sw.size(); ++j, ++k) {
+            const double signal_dbm = wattsToDbm(voltsRmsToWatts(
+                clean.amps_vrms[k], params.ref_impedance));
+            gain_db.push_back(sw.power_dbm[j] - signal_dbm);
+        }
+    }
+    EXPECT_NEAR(stats::mean(gain_db), 0.0, 0.01);
+    EXPECT_NEAR(stats::stddev(gain_db) / params.gain_error_db, 1.0,
+                0.02);
 }
 
 TEST(SpectrumAnalyzer, ValidatesConfig)

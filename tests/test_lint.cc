@@ -94,9 +94,9 @@ TEST(LintR1, EnvConfigTagCoversGetenvButNotClocks)
 
 TEST(LintR1, ParityToleranceTagCoversGetenvButNotClocksOrRandom)
 {
-    // The sanction for solver-path switches that are not bit-neutral
-    // (EMSTRESS_TRANSIENT_PATH selects between implementations
-    // agreeing only to kStateUpdateParityTol).
+    // The sanction for solver-path switches that are not bit-neutral:
+    // an environment knob selecting between implementations that
+    // agree only to a documented, test-pinned tolerance.
     const auto env = lintCc("const char *e = std::getenv(\"P\");"
                             " // lint: parity-tolerance\n");
     EXPECT_EQ(countRule(env, "R1"), 0u);
@@ -118,6 +118,45 @@ TEST(LintR1, RngHeaderIsExempt)
     const auto fake = analyzeSource("src/util/xrng.h",
                                     "std::random_device rd;\n");
     EXPECT_EQ(countRule(fake, "R1"), 1u);
+}
+
+TEST(LintR1, FlagsStdHashEvenInRngHeader)
+{
+    const auto f = lintCc(
+        "auto h = std::hash<std::string>{}(name);\n");
+    EXPECT_EQ(countRule(f, "R1"), 1u);
+    // The randomness home holds no hash exemption.
+    const auto home = analyzeSource(
+        "src/util/rng.h", "std::size_t h = std::hash<int>{}(1);\n");
+    EXPECT_EQ(countRule(home, "R1"), 1u);
+}
+
+TEST(LintR1, UnqualifiedHashIsNotStdHash)
+{
+    // Member functions and project hashes named `hash` are fine.
+    const auto f = lintCc("std::uint64_t a = kernel.hash();\n"
+                          "std::uint64_t b = fnv1a64(name);\n"
+                          "std::uint64_t c = isa::hash(x);\n");
+    EXPECT_EQ(countRule(f, "R1"), 0u);
+}
+
+TEST(LintR1, FlagsStdDistributionsOutsideRngHeader)
+{
+    const auto f = lintCc(
+        "std::normal_distribution<double> d(0.0, 1.0);\n"
+        "std::uniform_int_distribution<int> u(0, 9);\n");
+    EXPECT_EQ(countRule(f, "R1"), 2u);
+}
+
+TEST(LintR1, RngHeaderMayHostDistributions)
+{
+    const auto f = analyzeSource(
+        "src/util/rng.h",
+        "return std::normal_distribution<double>(m, s)(engine_);\n");
+    EXPECT_EQ(countRule(f, "R1"), 0u);
+    // Draws through the wrapper are not distributions.
+    const auto use = lintCc("double g = rng.gaussian(0.0, 1.0);\n");
+    EXPECT_EQ(countRule(use, "R1"), 0u);
 }
 
 TEST(LintR1, MetricsHeaderIsSanctionedClockHome)

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/fitness.h"
 #include "ga/fault_injector.h"
 #include "ga/ga_engine.h"
 #include "isa/kernel.h"
@@ -31,6 +32,7 @@
 #include "service/transport.h"
 #include "service/wire.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace emstress {
 namespace service {
@@ -208,10 +210,10 @@ TEST(JobModel, FingerprintTracksContentNotTenant)
 TEST(JobModel, CrossModeSpecsNeverShareAnArtifact)
 {
     // A passive spec and its field-for-field active twin must have
-    // different content addresses: the active description appends a
-    // "|mode:emfi" suffix while the passive form stays byte-identical
-    // to the pre-EMFI service, so a stored passive artifact can never
-    // be served for an active job (or vice versa).
+    // different content addresses: both extend one shared prefix, the
+    // active description with a "|mode:emfi" suffix and the passive
+    // EM form with its analyzer noise-model term, so a stored passive
+    // artifact can never be served for an active job (or vice versa).
     const JobSpec passive = smallSpec(9);
     JobSpec active = passive;
     active.mode = JobMode::kActiveEmfi;
@@ -220,7 +222,10 @@ TEST(JobModel, CrossModeSpecsNeverShareAnArtifact)
     const std::string active_desc = jobDescription(active);
     EXPECT_EQ(passive_desc.find("|mode:"), std::string::npos);
     EXPECT_NE(active_desc.find("|mode:emfi"), std::string::npos);
-    EXPECT_EQ(active_desc.find(passive_desc), 0u);
+    const std::string shared =
+        passive_desc.substr(0, passive_desc.rfind("|sa:keyed1"));
+    EXPECT_EQ(passive_desc, shared + "|sa:keyed1");
+    EXPECT_EQ(active_desc.find(shared), 0u);
     EXPECT_NE(jobFingerprint(passive), jobFingerprint(active));
 
     // EMFI fields are fingerprinted in active mode only.
@@ -249,9 +254,44 @@ TEST(JobModel, FingerprintsOfDefaultSpecsArePinned)
     // change to jobDescription that moves them orphans every artifact
     // already on disk.
     JobSpec spec;
-    EXPECT_EQ(jobFingerprint(spec), 0xb38f174e948e326full);
+    // Passive EM: re-pinned with the keyed analyzer noise model
+    // (was 0xb38f174e948e326f).
+    EXPECT_EQ(jobFingerprint(spec), 0x2ad1ea911e76fca4ull);
     spec.mode = JobMode::kActiveEmfi;
     EXPECT_EQ(jobFingerprint(spec), 0x530b5e36245bd1f6ull);
+    // Scope-driven searches never touch the analyzer.
+    JobSpec droop;
+    droop.metric = core::VirusMetric::MaxDroop;
+    EXPECT_EQ(jobFingerprint(droop), 0x4a31b4390fba475cull);
+}
+
+TEST(JobModel, MemoizedPresetConfigEvaluatesLikeAFreshPlatform)
+{
+    // makePlatformEvaluator builds every job's platform from a
+    // once-per-process calibrated config; it must measure exactly
+    // like a platform built from a fresh presetConfig(), on the call
+    // that fills the memo and on one that reuses it.
+    for (const PlatformPreset p :
+         {PlatformPreset::kJunoA72, PlatformPreset::kJunoA53,
+          PlatformPreset::kAthlon}) {
+        JobSpec spec = smallSpec(3);
+        spec.platform = p;
+        spec.platform_seed = 11;
+        spec.eval.duration_s = 2e-6;
+        spec.eval.sa_samples = 3;
+        Rng rng(5);
+        const isa::Kernel kernel =
+            isa::Kernel::random(presetPool(p), 12, rng);
+
+        platform::Platform plat(presetConfig(p), spec.platform_seed);
+        core::EmAmplitudeFitness direct(plat, spec.eval);
+        const double want = direct.evaluate(kernel, nullptr);
+        for (int call = 0; call < 2; ++call) {
+            const auto ev = makePlatformEvaluator(spec);
+            EXPECT_EQ(ev->evaluate(kernel, nullptr), want)
+                << presetName(p) << " call " << call;
+        }
+    }
 }
 
 TEST(JobModel, PresetNamesRoundTrip)

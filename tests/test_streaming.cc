@@ -4,12 +4,11 @@
  * trace path (runKernelBatch, SpectrumAnalyzer::sweep,
  * Oscilloscope::capture) serves as the oracle and the streaming
  * sinks (streamKernel, SaBandDetector, ScopeCaptureSink) must agree
- * with it — exactly for waveforms and scope metrics, to within
- * 1e-6 dB for the Goertzel-vs-FFT band maximum — all the way up to
- * identical GA search results across thread counts. The batch path
- * is a test oracle only: the evaluators always stream, and
- * BatchOracleFitness below rebuilds their measurement from batch
- * traces.
+ * with it bit for bit — waveforms, scope metrics and the spectral
+ * band maximum — all the way up to identical GA search results
+ * across thread counts. The batch path is a test oracle only: the
+ * evaluators always stream, and BatchOracleFitness below rebuilds
+ * their measurement from batch traces.
  */
 
 #include <algorithm>
@@ -156,24 +155,25 @@ TEST(StreamingPlatform, ObserverFactorySeesRunGeometry)
 }
 
 // ---------------------------------------------------------------
-// Spectrum analyzer: Goertzel band max vs FFT sweep band max.
+// Spectrum analyzer: streaming band detector vs full-display sweep.
 // ---------------------------------------------------------------
 
-TEST(StreamingInstruments, GoertzelBandMaxMatchesFftSweep)
+TEST(StreamingInstruments, BandDetectorMatchesFullSweepBitwise)
 {
     platform::Platform plat(platform::junoA72Config(), 3);
     // A resonant and an off-resonance capture, like the fig07 corpus.
     const double clocks[] = {560e6, 1.2e9};
     const double f_lo = 50e6, f_hi = 200e6;
+    const auto &sa = plat.analyzer().params();
     for (double f_clk : clocks) {
         plat.setFrequency(f_clk);
         const auto kernel =
             ResonanceExplorer::probeLoop(plat.pool());
         const auto run = plat.runKernelBatch(kernel, 2e-6);
 
-        instruments::SaBandDetector det(
-            plat.analyzer().params(), run.em.size(),
-            run.em.sampleRate(), f_lo, f_hi);
+        dsp::CapturePlan capture(run.em.size(), run.em.sampleRate(),
+                                 f_lo, f_hi, sa.window);
+        instruments::SaBandDetector det(sa, capture, f_lo, f_hi);
         for (double v : run.em.samples())
             det.push(v);
         det.finish();
@@ -184,18 +184,18 @@ TEST(StreamingInstruments, GoertzelBandMaxMatchesFftSweep)
             run.em, f_lo, f_hi, 5, noise_batch);
         const auto stream =
             det.averagedMaxAmplitude(5, noise_stream);
+        EXPECT_EQ(stream.power_dbm, batch.power_dbm) << "f_clk=" << f_clk;
+        EXPECT_EQ(stream.freq_hz, batch.freq_hz);
 
-        EXPECT_NEAR(stream.power_dbm, batch.power_dbm, 1e-6)
-            << "f_clk=" << f_clk;
-        EXPECT_DOUBLE_EQ(stream.freq_hz, batch.freq_hz);
-
-        // Single-sweep markers agree too.
+        // One sweep's marker is the band maximum of a full-display
+        // sweep under the same key: computeSpectrum, the display walk
+        // and the keyed noise give the detector's level exactly.
         Rng n1(123), n2(123);
-        const auto s1 = plat.analyzer().averagedMaxAmplitude(
-            run.em, f_lo, f_hi, 1, n1);
-        const auto s2 = det.averagedMaxAmplitude(1, n2);
-        EXPECT_NEAR(s2.power_dbm, s1.power_dbm, 1e-6);
-        EXPECT_DOUBLE_EQ(s2.freq_hz, s1.freq_hz);
+        const auto full = instruments::SpectrumAnalyzer::maxAmplitude(
+            plat.analyzer().sweep(run.em, n1), f_lo, f_hi);
+        const auto one = det.averagedMaxAmplitude(1, n2);
+        EXPECT_EQ(one.power_dbm, full.power_dbm) << "f_clk=" << f_clk;
+        EXPECT_EQ(one.freq_hz, full.freq_hz);
     }
 }
 
@@ -302,7 +302,7 @@ class BatchOracleFitness : public PlatformFitness
     VirusMetric metric_;
 };
 
-TEST(StreamingFitness, EmAmplitudeAgreesWithBatchWithinMicroDb)
+TEST(StreamingFitness, EmAmplitudeIsBitIdenticalToBatch)
 {
     platform::Platform plat(platform::junoA72Config(), 3);
     plat.setFrequency(560e6);
@@ -319,8 +319,8 @@ TEST(StreamingFitness, EmAmplitudeAgreesWithBatchWithinMicroDb)
         ga::EvalDetail ds, db;
         const double fs = streaming.evaluate(k, &ds);
         const double fb = batch.evaluate(k, &db);
-        EXPECT_NEAR(fs, fb, 1e-6);
-        EXPECT_DOUBLE_EQ(ds.dominant_freq_hz, db.dominant_freq_hz);
+        EXPECT_EQ(fs, fb);
+        EXPECT_EQ(ds.dominant_freq_hz, db.dominant_freq_hz);
         EXPECT_EQ(ds.measurement_seconds, db.measurement_seconds);
         // The streaming path buffers no full-rate waveform.
         EXPECT_EQ(ds.samples_materialized, 0u);
@@ -402,7 +402,7 @@ TEST(StreamingGa, DroopSearchIdenticalAcrossModesAndThreads)
     }
 }
 
-TEST(StreamingGa, EmSearchIdenticalAcrossThreadsAndNearBatch)
+TEST(StreamingGa, EmSearchBitIdenticalAcrossThreadsAndToBatch)
 {
     const auto serial = runSearch(VirusMetric::EmAmplitude, 1);
     for (std::size_t threads : {2u, 8u}) {
@@ -410,17 +410,18 @@ TEST(StreamingGa, EmSearchIdenticalAcrossThreadsAndNearBatch)
         EXPECT_EQ(r.virus, serial.virus) << threads << " threads";
         EXPECT_EQ(r.ga.best_fitness, serial.ga.best_fitness);
     }
-    // Against the batch FFT oracle the Goertzel recurrence differs
-    // only in the last bits (~1e-12 relative), far inside the GA's
-    // selection margins: same winner, same convergence history to
-    // within the 1e-6 dB budget.
+    // The streaming detector and the batch oracle run one spectral
+    // routine, so the searches agree to the last bit.
     const auto oracle = runOracleSearch(VirusMetric::EmAmplitude);
     EXPECT_EQ(serial.virus, oracle.best);
-    EXPECT_NEAR(serial.ga.best_fitness, oracle.best_fitness, 1e-6);
+    EXPECT_EQ(serial.ga.best_fitness, oracle.best_fitness);
     ASSERT_EQ(serial.ga.history.size(), oracle.history.size());
-    for (std::size_t g = 0; g < serial.ga.history.size(); ++g)
-        EXPECT_NEAR(serial.ga.history[g].best_fitness,
-                    oracle.history[g].best_fitness, 1e-6);
+    for (std::size_t g = 0; g < serial.ga.history.size(); ++g) {
+        EXPECT_EQ(serial.ga.history[g].best_fitness,
+                  oracle.history[g].best_fitness);
+        EXPECT_EQ(serial.ga.history[g].mean_fitness,
+                  oracle.history[g].mean_fitness);
+    }
 }
 
 // ---------------------------------------------------------------

@@ -119,6 +119,21 @@ const std::set<std::string, std::less<>> kClockIdents = {
 const std::set<std::string, std::less<>> kRandomIdents = {
     "rand", "srand", "random_device", "rand_r", "drand48"};
 
+bool
+endsWith(std::string_view s, std::string_view suffix)
+{
+    return s.size() >= suffix.size()
+        && s.substr(s.size() - suffix.size()) == suffix;
+}
+
+/** True when toks[i] is qualified as `std::<ident>`. */
+bool
+stdQualified(const std::vector<Token> &toks, std::size_t i)
+{
+    return i >= 3 && toks[i - 1].text == ":" && toks[i - 2].text == ":"
+        && toks[i - 3].text == "std";
+}
+
 /**
  * R1: nondeterministic sources. Wall clocks, libc randomness,
  * std::random_device and getenv taint any value derived from them
@@ -131,14 +146,19 @@ const std::set<std::string, std::less<>> kRandomIdents = {
  * between solver implementations agreeing only to a documented,
  * test-pinned numerical tolerance — honest about not being
  * bit-neutral, unlike env-config).
+ *
+ * Implementation-defined values are findings too: std::hash results
+ * and the std::*_distribution algorithms differ between standard
+ * libraries, so seeded results built on them reproduce on one
+ * library only. util/rng.h is the one place a distribution may
+ * appear; fnv1a64 there is the sanctioned hash.
  */
 void
 ruleR1(std::string_view path, const SourceScan &scan,
        std::vector<Finding> &findings)
 {
-    if (pathEndsWith(path, "src/util/rng.h")
-        || pathEndsWith(path, "util/rng.h"))
-        return;
+    const bool rng_home = pathEndsWith(path, "src/util/rng.h")
+        || pathEndsWith(path, "util/rng.h");
     // util/metrics.h is the sanctioned home for wall/CPU clock reads
     // (observability only), exactly as util/rng.h is for randomness.
     // The exemption is clock-scoped: randomness and environment
@@ -156,10 +176,25 @@ ruleR1(std::string_view path, const SourceScan &scan,
     const RuleTags env_rule{"R1", {"env-config", "parity-tolerance",
                                    "r1"}};
     const RuleTags random_rule{"R1", {"r1"}};
-    for (const Token &tok : scan.tokens) {
+    const auto &toks = scan.tokens;
+    for (std::size_t i = 0; i < toks.size(); ++i) {
+        const Token &tok = toks[i];
         if (tok.kind != TokKind::Identifier)
             continue;
-        if (kClockIdents.count(tok.text)) {
+        if (tok.text == "hash" && stdQualified(toks, i)) {
+            emit(findings, scan, random_rule, path, tok.line,
+                 "implementation-defined `std::hash`; its values "
+                 "differ between standard libraries — key seeds and "
+                 "fingerprints with fnv1a64 (src/util/rng.h)");
+        } else if (rng_home) {
+            continue;
+        } else if (endsWith(tok.text, "_distribution")) {
+            emit(findings, scan, random_rule, path, tok.line,
+                 "implementation-defined `" + tok.text
+                     + "`; its algorithm differs between standard "
+                       "libraries — draw through emstress::Rng or "
+                       "the keyed draws of src/util/rng.h");
+        } else if (kClockIdents.count(tok.text)) {
             if (metrics_home || service_clock_home)
                 continue;
             emit(findings, scan, clock_rule, path, tok.line,
