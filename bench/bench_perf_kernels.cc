@@ -17,8 +17,11 @@
 #include "dsp/fft.h"
 #include "dsp/spectrum.h"
 #include "em/antenna.h"
+#include "isa/kernel.h"
 #include "platform/platform.h"
+#include "uarch/core_model.h"
 #include "util/rng.h"
+#include "util/sample_sink.h"
 
 using namespace emstress;
 
@@ -80,6 +83,36 @@ BM_CoreModelLoop(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CoreModelLoop);
+
+/**
+ * Core model over a GA-like population: 64 seeded random
+ * 50-instruction A72 kernels, each run as the platform's mean-bias
+ * pass does (streamed, with a replay recording). Unlike the resonant
+ * loop, random kernels reach their steady state late or never, so
+ * this times the live issue loop as well as the fast-forward.
+ */
+void
+BM_CoreModelGaPopulation(benchmark::State &state)
+{
+    platform::Platform a72(platform::junoA72Config(), 1);
+    uarch::CoreModel core(a72.config().core);
+    std::vector<isa::Kernel> population;
+    Rng rng(17);
+    for (int i = 0; i < 64; ++i)
+        population.push_back(isa::Kernel::random(a72.pool(), 50, rng));
+    uarch::LoopRecording rec;
+    for (auto _ : state) {
+        for (const auto &kernel : population) {
+            MeanSink mean;
+            benchmark::DoNotOptimize(core.runLoopInto(
+                a72.pool(), kernel, 1.2e9, 4.5e-6, mean, &rec));
+            benchmark::DoNotOptimize(mean.count());
+        }
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations())
+                            * 64);
+}
+BENCHMARK(BM_CoreModelGaPopulation);
 
 void
 BM_AntennaReceive(benchmark::State &state)

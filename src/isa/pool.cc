@@ -207,15 +207,16 @@ InstructionPool::validate(const Instruction &instr) const
 {
     const InstrDef &d = def(instr.def_index);
     const int regs = regCount(d.reg_file);
-    if (d.has_dest)
-        requireConfig(instr.dest >= 0 && instr.dest < regs,
-                      d.mnemonic + ": bad destination register");
+    // Runs for every instruction of every simulated kernel: build the
+    // message only on failure.
+    if (d.has_dest && !(instr.dest >= 0 && instr.dest < regs))
+        throw ConfigError(d.mnemonic + ": bad destination register");
     for (unsigned s = 0; s < d.sources; ++s)
-        requireConfig(instr.src[s] >= 0 && instr.src[s] < regs,
-                      d.mnemonic + ": bad source register");
-    if (isMemoryClass(d.cls))
-        requireConfig(instr.mem_slot >= 0 && instr.mem_slot < mem_slots_,
-                      d.mnemonic + ": bad memory slot");
+        if (!(instr.src[s] >= 0 && instr.src[s] < regs))
+            throw ConfigError(d.mnemonic + ": bad source register");
+    if (isMemoryClass(d.cls)
+        && !(instr.mem_slot >= 0 && instr.mem_slot < mem_slots_))
+        throw ConfigError(d.mnemonic + ": bad memory slot");
 }
 
 std::string

@@ -8,9 +8,13 @@
 #include "uarch/core_model.h"
 
 #include <algorithm>
-#include <deque>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <limits>
 
 #include "util/error.h"
+#include "util/metrics.h"
 
 namespace emstress {
 namespace uarch {
@@ -59,13 +63,367 @@ regFileIndex(isa::RegFile file)
     return 3;
 }
 
+// Per-cycle switching energy, accumulated in a ring: an issue at
+// cycle c spreads energy over [c, c + latency), so once every
+// latency fits inside the ring, slot c % N holds exactly cycle c's
+// energy by the end of cycle c and can be emitted and recycled
+// immediately.
+constexpr std::size_t kEnergyRing = 64;
+constexpr std::int64_t kNotReady = std::numeric_limits<std::int64_t>::max();
+
+/** One body slot, decoded once per run. */
+struct DecodedSlot
+{
+    std::size_t fu;          ///< FuKind index.
+    std::size_t rf;          ///< Register-file index.
+    std::int64_t latency;
+    double per_cycle;        ///< Switching energy per busy cycle.
+    bool unpipelined;
+    int src[2];              ///< Source registers, -1 when absent.
+    int dest;                ///< Destination register, -1 when absent.
+};
+
+/** Renaming-table entry: the last writer of one register. */
+struct RegState
+{
+    std::int64_t writer = -1; ///< Dynamic id, -1 when never written.
+    std::int64_t finish = -1; ///< Result cycle, -1 while unissued.
+    std::size_t entry = 0;    ///< Window entry while unissued.
+};
+
 /** One dispatched, not-yet-issued instruction in the window. */
 struct WindowEntry
 {
-    std::size_t slot;        ///< Index within the kernel/stream body.
-    std::int64_t dyn_id;     ///< Dynamic instruction id.
-    std::int64_t producer0;  ///< Dynamic id of src0 producer or -1.
-    std::int64_t producer1;  ///< Dynamic id of src1 producer or -1.
+    std::size_t slot;             ///< Index within the body.
+    std::int64_t dyn_id;          ///< Dynamic instruction id.
+    std::int64_t producer[2];     ///< Producer dynamic ids or -1.
+    std::int64_t finish[2];       ///< Producer finish cycle or -1.
+    std::int64_t ready_max;       ///< Latest issued producer finish.
+    int pending;                  ///< Producers not yet issued.
+    int waiters;                  ///< First waiter node, -1 if none.
+};
+
+/**
+ * The issue engine's whole state. Window entries live in a fixed
+ * pool; `order_` lists them oldest first, and `ready_` and `fu_` hold,
+ * at the same positions, each entry's operand-ready cycle and unit
+ * kind. The ready cycle is cached as soon as both producers have
+ * issued (a producer's finish time never changes afterwards), so
+ * readiness is one compare and a cycle's issue candidates are one
+ * pass of compares into a bitmask. Entries
+ * waiting on an unissued producer hang off that producer's intrusive
+ * waiter list (node 2e + k is operand k of entry e) and are woken
+ * when it issues.
+ */
+class IssueEngine
+{
+  public:
+    IssueEngine(const CoreParams &params, const isa::InstructionPool &pool,
+                std::span<const isa::Instruction> body, bool loop)
+        : params_(params), loop_(loop),
+          width_(params.window_size), entries_(width_), pos_(width_),
+          next_waiter_(2 * width_, -1), issued_pos_(params.issue_width)
+    {
+        slots_.reserve(body.size());
+        for (const isa::Instruction &instr : body) {
+            const isa::InstrDef &d = pool.def(instr.def_index);
+            requireSim(d.latency <= kEnergyRing,
+                       "instruction latency exceeds the energy ring; "
+                       "enlarge kEnergyRing");
+            DecodedSlot s;
+            s.fu = static_cast<std::size_t>(fuKindForClass(d.cls));
+            s.rf = regFileIndex(d.reg_file);
+            s.latency = static_cast<std::int64_t>(d.latency);
+            const double e_op = d.energy * params.energy_scale;
+            s.per_cycle = e_op / static_cast<double>(d.latency);
+            s.unpipelined = isUnpipelined(d.cls);
+            s.src[0] = d.sources >= 1 && instr.src[0] >= 0 ? instr.src[0]
+                                                          : -1;
+            s.src[1] = d.sources >= 2 && instr.src[1] >= 0 ? instr.src[1]
+                                                          : -1;
+            s.dest = d.has_dest && instr.dest >= 0 ? instr.dest : -1;
+            slots_.push_back(s);
+        }
+        for (std::size_t f = 0; f < 3; ++f) {
+            const auto file = static_cast<isa::RegFile>(f);
+            regs_[f].resize(
+                static_cast<std::size_t>(std::max(pool.regCount(file), 1)));
+        }
+        regs_[3].resize(1);
+        for (std::size_t k = 0; k < fu_busy_.size(); ++k)
+            fu_busy_[k].assign(params.fuCount(static_cast<FuKind>(k)), 0);
+        order_.reserve(width_);
+        ready_.reserve(width_);
+        fu_.reserve(width_);
+        free_.reserve(width_);
+        for (std::size_t e = width_; e-- > 0;)
+            free_.push_back(e);
+    }
+
+    /** True once a finite stream has dispatched and issued it all. */
+    bool drained() const { return stream_done_ && order_.empty(); }
+
+    /** Fill the window from the body. */
+    void
+    dispatch()
+    {
+        while (!free_.empty() && !stream_done_)
+            dispatchOne();
+    }
+
+    /**
+     * Issue cycle c: oldest first, up to the issue width, stalling
+     * behind the oldest entry on an in-order core. Returns the number
+     * issued; `iters` counts issues of body slot 0.
+     */
+    unsigned
+    issue(std::int64_t c, std::uint32_t &iters)
+    {
+        const unsigned issue_width = params_.issue_width;
+        const std::size_t n = order_.size();
+        unsigned issued = 0;
+        // Issue attempt for window position i; false when its unit
+        // kind has no free unit this cycle.
+        auto tryIssue = [&](std::size_t i) {
+            const std::size_t e = order_[i];
+            const DecodedSlot &s = slots_[entries_[e].slot];
+            auto &busy = fu_busy_[s.fu];
+            std::size_t u = 0;
+            while (u < busy.size() && busy[u] > c)
+                ++u;
+            if (u == busy.size())
+                return false;
+            issueEntry(e, s, busy[u], c);
+            if (loop_ && entries_[e].slot == 0)
+                ++iters;
+            issued_pos_[issued++] = i;
+            return true;
+        };
+        if (!params_.out_of_order) {
+            // In-order: stall behind the oldest.
+            for (std::size_t i = 0;
+                 i < n && issued < issue_width && ready_[i] <= c; ++i)
+                if (!tryIssue(i))
+                    break;
+        } else {
+            // FU kinds with no free unit: their entries cannot issue.
+            unsigned full_kinds = 0;
+            for (std::size_t k = 0; k < fu_busy_.size(); ++k)
+                if (std::all_of(fu_busy_[k].begin(), fu_busy_[k].end(),
+                                [c](std::int64_t b) { return b > c; }))
+                    full_kinds |= 1u << k;
+            for (std::size_t base = 0; base < n && issued < issue_width;
+                 base += 64) {
+                const std::size_t lim = std::min<std::size_t>(64, n - base);
+                std::uint64_t ready = 0;
+                for (std::size_t j = 0; j < lim; ++j)
+                    ready |= static_cast<std::uint64_t>(
+                                 (ready_[base + j] <= c)
+                                 & ((full_kinds >> fu_[base + j] & 1u) == 0))
+                        << j;
+                while (ready != 0 && issued < issue_width) {
+                    const std::size_t i =
+                        base + static_cast<std::size_t>(std::countr_zero(ready));
+                    ready &= ready - 1;
+                    if ((full_kinds >> fu_[i] & 1u) == 0 && !tryIssue(i))
+                        full_kinds |= 1u << fu_[i];
+                }
+            }
+        }
+        if (issued > 0)
+            compact(issued);
+        return issued;
+    }
+
+    /**
+     * End of cycle: every issue reaching this cycle has already
+     * happened (later issues only touch later cycles), so its energy
+     * is final. Return it and recycle the ring slot.
+     */
+    double
+    retire(std::size_t cycle)
+    {
+        double &slot = energy_[cycle % kEnergyRing];
+        const double e = slot;
+        slot = 0.0;
+        return e;
+    }
+
+    /**
+     * Visit the normalized state at the end of cycle c as a word
+     * sequence: the body position, window contents with dynamic ids
+     * relative to the dispatch head, producer and register-writer
+     * status (none, unissued, done, or cycles until done), unit busy
+     * deltas and the pending energy ring. Two equal sequences evolve
+     * identically, so from the first repeat on the run is periodic.
+     * `word` returns false to stop the visit early, which then
+     * returns false.
+     */
+    template <class Word>
+    bool
+    visitState(std::int64_t c, Word &&word) const
+    {
+        auto status = [&](std::int64_t id, std::int64_t finish) {
+            if (id < 0)
+                return word(0) && word(0);
+            if (finish < 0)
+                return word(1)
+                    && word(static_cast<std::uint64_t>(id - next_dyn_));
+            if (finish <= c)
+                return word(2) && word(0); // done: any past finish is alike
+            return word(3) && word(static_cast<std::uint64_t>(finish - c));
+        };
+        if (!word(next_slot_) || !word(order_.size()))
+            return false;
+        for (const std::size_t e : order_) {
+            const WindowEntry &w = entries_[e];
+            if (!word(w.slot)
+                || !word(static_cast<std::uint64_t>(w.dyn_id - next_dyn_))
+                || !status(w.producer[0], w.finish[0])
+                || !status(w.producer[1], w.finish[1]))
+                return false;
+        }
+        for (std::size_t j = 1; j <= kEnergyRing; ++j)
+            if (!word(std::bit_cast<std::uint64_t>(
+                    energy_[(static_cast<std::size_t>(c) + j)
+                            % kEnergyRing])))
+                return false;
+        for (const auto &busy : fu_busy_)
+            for (const std::int64_t b : busy)
+                if (!word(static_cast<std::uint64_t>(
+                        std::max<std::int64_t>(b - c, 0))))
+                    return false;
+        for (const auto &file : regs_)
+            for (const RegState &r : file)
+                if (!status(r.writer, r.finish))
+                    return false;
+        return true;
+    }
+
+  private:
+    void
+    dispatchOne()
+    {
+        const DecodedSlot &s = slots_[next_slot_];
+        const std::size_t e = free_.back();
+        free_.pop_back();
+        WindowEntry &w = entries_[e];
+        w.slot = next_slot_;
+        w.dyn_id = next_dyn_++;
+        w.ready_max = 0;
+        w.pending = 0;
+        w.waiters = -1;
+        auto &file = regs_[s.rf];
+        for (std::size_t k = 0; k < 2; ++k) {
+            w.producer[k] = -1;
+            w.finish[k] = -1;
+            if (s.src[k] < 0)
+                continue;
+            const RegState &r = file[static_cast<std::size_t>(s.src[k])];
+            w.producer[k] = r.writer;
+            if (r.writer < 0)
+                continue;
+            if (r.finish >= 0) {
+                w.finish[k] = r.finish;
+                w.ready_max = std::max(w.ready_max, r.finish);
+            } else {
+                ++w.pending;
+                const auto node = static_cast<int>(2 * e + k);
+                next_waiter_[static_cast<std::size_t>(node)] =
+                    entries_[r.entry].waiters;
+                entries_[r.entry].waiters = node;
+            }
+        }
+        pos_[e] = order_.size();
+        order_.push_back(e);
+        ready_.push_back(w.pending > 0 ? kNotReady : w.ready_max);
+        fu_.push_back(static_cast<std::uint8_t>(s.fu));
+        if (s.dest >= 0) {
+            RegState &r = file[static_cast<std::size_t>(s.dest)];
+            r.writer = w.dyn_id;
+            r.finish = -1;
+            r.entry = e;
+        }
+        if (++next_slot_ == slots_.size()) {
+            if (loop_)
+                next_slot_ = 0;
+            else
+                stream_done_ = true;
+        }
+    }
+
+    void
+    issueEntry(std::size_t e, const DecodedSlot &s, std::int64_t &unit,
+               std::int64_t c)
+    {
+        const std::int64_t finish = c + s.latency;
+        unit = s.unpipelined ? finish : c + 1;
+        // Spread switching energy over the latency; front-end
+        // overhead lands on the issue cycle.
+        for (std::int64_t k = c; k < finish; ++k)
+            energy_[static_cast<std::size_t>(k) % kEnergyRing] +=
+                s.per_cycle;
+        energy_[static_cast<std::size_t>(c) % kEnergyRing] +=
+            params_.issue_energy;
+
+        const WindowEntry &w = entries_[e];
+        for (int node = w.waiters; node >= 0;
+             node = next_waiter_[static_cast<std::size_t>(node)]) {
+            const auto d = static_cast<std::size_t>(node) / 2;
+            WindowEntry &dep = entries_[d];
+            dep.finish[node % 2] = finish;
+            dep.ready_max = std::max(dep.ready_max, finish);
+            if (--dep.pending == 0)
+                ready_[pos_[d]] = dep.ready_max;
+        }
+        if (s.dest >= 0) {
+            RegState &r = regs_[s.rf][static_cast<std::size_t>(s.dest)];
+            if (r.writer == w.dyn_id)
+                r.finish = finish;
+        }
+        free_.push_back(e);
+    }
+
+    /** Drop the `issued` entries at issued_pos_ (ascending). */
+    void
+    compact(unsigned issued)
+    {
+        std::size_t out = issued_pos_[0];
+        unsigned k = 0;
+        for (std::size_t i = out; i < order_.size(); ++i) {
+            if (k < issued && i == issued_pos_[k]) {
+                ++k;
+                continue;
+            }
+            order_[out] = order_[i];
+            ready_[out] = ready_[i];
+            fu_[out] = fu_[i];
+            pos_[order_[out]] = out;
+            ++out;
+        }
+        order_.resize(out);
+        ready_.resize(out);
+        fu_.resize(out);
+    }
+
+    const CoreParams &params_;
+    const bool loop_;
+    const std::size_t width_;
+    std::vector<DecodedSlot> slots_;
+    std::array<std::vector<RegState>, 4> regs_;
+    std::array<std::vector<std::int64_t>, 6> fu_busy_;
+    std::array<double, kEnergyRing> energy_{};
+    std::vector<WindowEntry> entries_;
+    std::vector<std::size_t> pos_;     ///< Window position per entry.
+    std::vector<int> next_waiter_;
+    std::vector<std::size_t> order_;   ///< Window, oldest first.
+    std::vector<std::int64_t> ready_;  ///< Ready cycle per position.
+    std::vector<std::uint8_t> fu_;     ///< FU kind per position.
+    std::vector<std::size_t> free_;    ///< Unused entry indices.
+    std::vector<std::size_t> issued_pos_; ///< This cycle's issues.
+    std::size_t next_slot_ = 0;
+    std::int64_t next_dyn_ = 0;
+    bool stream_done_ = false;
 };
 
 } // namespace
@@ -167,319 +525,149 @@ CoreModel::simulateInto(const isa::InstructionPool &pool,
     }
     const double cycle_time = 1.0 / f_clk_hz;
     const std::size_t total_cycles = warmup_cycles + target_cycles;
+    const double energy_to_amps = 1.0 / (cycle_time * params_.v_ref);
 
-    // Renaming table: last writer dynamic id per (regfile, reg).
-    std::array<std::vector<std::int64_t>, 4> last_writer;
-    for (std::size_t f = 0; f < 3; ++f) {
-        const auto file = static_cast<isa::RegFile>(f);
-        last_writer[f].assign(
-            static_cast<std::size_t>(std::max(pool.regCount(file), 1)),
-            -1);
-    }
-    last_writer[3].assign(1, -1);
-
-    // Finish time (cycle at which the result is available) per
-    // dynamic id; -1 while not yet issued. Stored as a sliding window
-    // over recent dynamic ids: ids below ft_base can no longer be
-    // referenced (not in the window, not a last_writer) and are
-    // evicted periodically, keeping the engine O(window) in memory
-    // regardless of run length.
-    std::deque<std::int64_t> finish_time;
-    std::int64_t ft_base = 0;
-    auto ft = [&](std::int64_t dyn_id) -> std::int64_t & {
-        return finish_time[static_cast<std::size_t>(dyn_id - ft_base)];
-    };
-
-    // Functional units: busy-until cycle per unit instance.
-    std::array<std::vector<std::int64_t>, 6> fu_busy;
-    for (std::size_t k = 0; k < 6; ++k)
-        fu_busy[k].assign(params_.fuCount(static_cast<FuKind>(k)), 0);
-
-    // Per-cycle switching energy, accumulated in a ring: an issue at
-    // cycle c spreads energy over [c, c + latency), so once every
-    // latency fits inside the ring, slot c % N holds exactly cycle
-    // c's energy by the end of cycle c and can be emitted and
-    // recycled immediately.
-    constexpr std::size_t kEnergyRing = 64;
-    std::array<double, kEnergyRing> energy{};
-
-    std::deque<WindowEntry> window;
-    std::size_t next_slot = 0;      ///< Next body index to dispatch.
-    std::int64_t next_dyn = 0;      ///< Next dynamic id.
-    bool stream_done = false;
+    IssueEngine engine(params_, pool, body, loop);
 
     // Loop statistics: cycles at which slot 0 issues.
     std::vector<std::int64_t> iter_starts;
-    std::size_t issued_total = 0;
     std::size_t issued_in_window = 0; // after warmup
 
-    auto dispatch_one = [&]() {
-        if (stream_done)
-            return false;
-        const isa::Instruction &instr = body[next_slot];
-        const isa::InstrDef &d = pool.def(instr.def_index);
-        WindowEntry e;
-        e.slot = next_slot;
-        e.dyn_id = next_dyn++;
-        const std::size_t rf = regFileIndex(d.reg_file);
-        e.producer0 = d.sources >= 1 && instr.src[0] >= 0
-            ? last_writer[rf][static_cast<std::size_t>(instr.src[0])]
-            : -1;
-        e.producer1 = d.sources >= 2 && instr.src[1] >= 0
-            ? last_writer[rf][static_cast<std::size_t>(instr.src[1])]
-            : -1;
-        if (d.has_dest && instr.dest >= 0)
-            last_writer[rf][static_cast<std::size_t>(instr.dest)] =
-                e.dyn_id;
-        finish_time.push_back(-1);
-        window.push_back(e);
-        ++next_slot;
-        if (next_slot == body.size()) {
-            if (loop)
-                next_slot = 0;
-            else
-                stream_done = true;
-        }
-        return true;
-    };
-
-    const double energy_to_amps = 1.0 / (cycle_time * params_.v_ref);
-
     // --- Steady-state fast-forward (loop mode only) ---------------
-    // A looping kernel's normalized microarchitectural state (window
-    // contents, relative finish times, unit busy deltas, energy-ring
-    // phase, renaming table) lives in a finite space and evolves
-    // deterministically, so it must eventually recur; from the first
-    // recurrence on, the per-cycle current repeats exactly. Snapshot
-    // the normalized state at iteration boundaries after warmup and,
-    // once a snapshot repeats, replay the recorded period instead of
-    // re-simulating — bit-identical emission at O(period) memory and
-    // O(warmup + detection) simulated cycles.
+    // A looping kernel's normalized microarchitectural state lives in
+    // a finite space and evolves deterministically, so its sequence
+    // at iteration boundaries (cycles where slot 0 issues) is
+    // eventually periodic; from the first repeat on, the per-cycle
+    // current, issue counts and iteration starts repeat exactly.
+    // Detection runs from cycle 0 with Brent's method: the reference
+    // snapshot is re-anchored at boundaries 8, 16, 32, ..., and every
+    // boundary in between is compared with it word by word, stopping
+    // at the first difference. Once it repeats, the cycles since the
+    // reference are replayed for the rest of the run, warm-up cycles
+    // feeding only the iteration starts.
     bool detecting = loop;
-    // Recording rides on the same detection machinery: the prefix is
-    // every live-simulated sample, the period is the detected
-    // recurrence. Abandoning detection also abandons the recording
-    // (an unbounded prefix would defeat the O(window) memory claim).
+    // Recording rides on the same machinery: the prefix is every
+    // live-simulated emitted sample, the period the detected
+    // recurrence rotated to follow it. Abandoning detection also
+    // abandons the recording (an unbounded prefix would defeat the
+    // O(window) memory claim).
     bool rec_active = recording != nullptr && loop;
     bool have_ref = false;
+    std::size_t boundaries = 0;
+    std::size_t next_anchor = 8;
     std::size_t ref_cycle = 0;
-    std::vector<std::int64_t> ref_ints, cand_ints;
-    std::vector<double> ref_ring, cand_ring;
-    std::vector<double> rec_samples;
-    std::vector<std::uint32_t> rec_issued, rec_iters;
+    std::vector<std::uint64_t> ref_words;
+    /** What one simulated cycle contributed. */
+    struct CycleRecord
+    {
+        double sample;
+        std::uint32_t issued;
+        std::uint32_t iters;
+    };
+    std::vector<CycleRecord> since_ref; // cycles after the reference
+    // A reference that goes this many cycles unmatched abandons
+    // detection; spans double with each anchor, so at most about
+    // twice this many cycles are ever recorded.
     constexpr std::size_t kMaxRecord = 8192;
 
-    auto snapshotInto = [&](std::int64_t c,
-                            std::vector<std::int64_t> &ints,
-                            std::vector<double> &ring) {
-        ints.clear();
-        ring.clear();
-        auto encodeId = [&](std::int64_t p) {
-            if (p < 0) {
-                ints.push_back(0);
-                ints.push_back(0);
-                return;
-            }
-            const std::int64_t f = ft(p);
-            if (f < 0) {
-                // Unissued: identity relative to the dispatch head.
-                ints.push_back(1);
-                ints.push_back(p - next_dyn);
-            } else if (f <= c) {
-                ints.push_back(2); // done: any past finish is alike
-                ints.push_back(0);
-            } else {
-                ints.push_back(3);
-                ints.push_back(f - c);
-            }
-        };
-        ints.push_back(static_cast<std::int64_t>(next_slot));
-        ints.push_back(static_cast<std::int64_t>(window.size()));
-        for (const auto &e : window) {
-            ints.push_back(static_cast<std::int64_t>(e.slot));
-            ints.push_back(e.dyn_id - next_dyn);
-            encodeId(e.producer0);
-            encodeId(e.producer1);
-        }
-        for (const auto &busy : fu_busy)
-            for (std::int64_t b : busy)
-                ints.push_back(std::max<std::int64_t>(b - c, 0));
-        for (const auto &lw : last_writer)
-            for (std::int64_t id : lw)
-                encodeId(id);
-        for (std::size_t j = 1; j <= kEnergyRing; ++j)
-            ring.push_back(
-                energy[(static_cast<std::size_t>(c) + j)
-                       % kEnergyRing]);
-    };
-
     std::size_t cycle = 0;
+    std::size_t replayed = 0;
     for (; cycle < total_cycles; ++cycle) {
-        // Dispatch into the window.
-        while (window.size() < params_.window_size && dispatch_one()) {
-        }
-        if (window.empty() && stream_done)
+        engine.dispatch();
+        if (engine.drained())
             break;
 
         const auto c = static_cast<std::int64_t>(cycle);
-        unsigned issued_this_cycle = 0;
         std::uint32_t iters_this_cycle = 0;
+        const unsigned issued_this_cycle =
+            engine.issue(c, iters_this_cycle);
+        for (std::uint32_t r = 0; r < iters_this_cycle; ++r)
+            iter_starts.push_back(c);
 
-        for (auto it = window.begin();
-             it != window.end()
-             && issued_this_cycle < params_.issue_width;) {
-            const isa::Instruction &instr = body[it->slot];
-            const isa::InstrDef &d = pool.def(instr.def_index);
-
-            // Operand readiness.
-            const bool ready =
-                (it->producer0 < 0
-                 || (ft(it->producer0) >= 0
-                     && ft(it->producer0) <= c))
-                && (it->producer1 < 0
-                    || (ft(it->producer1) >= 0
-                        && ft(it->producer1) <= c));
-
-            // Functional-unit availability.
-            int unit = -1;
-            const FuKind fu = fuKindForClass(d.cls);
-            auto &busy = fu_busy[static_cast<std::size_t>(fu)];
-            if (ready) {
-                for (std::size_t u = 0; u < busy.size(); ++u) {
-                    if (busy[u] <= c) {
-                        unit = static_cast<int>(u);
-                        break;
-                    }
-                }
-            }
-
-            if (ready && unit >= 0) {
-                // Issue.
-                const auto lat =
-                    static_cast<std::int64_t>(d.latency);
-                requireSim(
-                    lat <= static_cast<std::int64_t>(kEnergyRing),
-                    "instruction latency exceeds the energy ring; "
-                    "enlarge kEnergyRing");
-                ft(it->dyn_id) = c + lat;
-                busy[static_cast<std::size_t>(unit)] =
-                    isUnpipelined(d.cls) ? c + lat : c + 1;
-                // Spread switching energy over the latency; front-end
-                // overhead lands on the issue cycle.
-                const double e_op = d.energy * params_.energy_scale;
-                const double per_cycle =
-                    e_op / static_cast<double>(d.latency);
-                for (std::int64_t k = c; k < c + lat; ++k) {
-                    energy[static_cast<std::size_t>(k)
-                           % kEnergyRing] += per_cycle;
-                }
-                energy[cycle % kEnergyRing] += params_.issue_energy;
-
-                ++issued_total;
-                ++issued_this_cycle;
-                if (cycle >= warmup_cycles)
-                    ++issued_in_window;
-                if (loop && it->slot == 0) {
-                    iter_starts.push_back(c);
-                    ++iters_this_cycle;
-                }
-                it = window.erase(it);
-                continue;
-            }
-            if (!params_.out_of_order)
-                break; // in-order: stall behind the oldest.
-            ++it;
-        }
-
-        // End of cycle: every issue reaching this cycle has already
-        // happened (later issues only touch later cycles), so its
-        // energy is final — emit and recycle the ring slot.
-        const std::size_t slot = cycle % kEnergyRing;
         const double emitted =
-            params_.idle_current + energy[slot] * energy_to_amps;
+            params_.idle_current + engine.retire(cycle) * energy_to_amps;
         if (cycle >= warmup_cycles) {
+            issued_in_window += issued_this_cycle;
             sink.push(emitted);
             if (rec_active)
                 recording->prefix.push_back(emitted);
         }
-        energy[slot] = 0.0;
 
-        if (detecting && cycle >= warmup_cycles) {
-            if (have_ref) {
-                rec_samples.push_back(emitted);
-                rec_issued.push_back(issued_this_cycle);
-                rec_iters.push_back(iters_this_cycle);
-            }
-            if (iters_this_cycle > 0) {
-                if (!have_ref) {
-                    snapshotInto(c, ref_ints, ref_ring);
-                    have_ref = true;
-                    ref_cycle = cycle;
-                } else {
-                    snapshotInto(c, cand_ints, cand_ring);
-                    if (cand_ints == ref_ints
-                        && cand_ring == ref_ring) {
-                        // Recurrence: cycles ref_cycle+1..cycle form
-                        // one exact period. Replay it for the rest
-                        // of the run.
-                        if (rec_active)
-                            recording->period = rec_samples;
-                        const std::size_t period = rec_samples.size();
-                        for (std::size_t cyc = cycle + 1;
-                             cyc < total_cycles; ++cyc) {
-                            const std::size_t idx =
-                                (cyc - ref_cycle - 1) % period;
-                            sink.push(rec_samples[idx]);
-                            issued_in_window += rec_issued[idx];
-                            for (std::uint32_t r = 0;
-                                 r < rec_iters[idx]; ++r)
-                                iter_starts.push_back(
-                                    static_cast<std::int64_t>(cyc));
-                        }
-                        cycle = total_cycles;
-                        break;
-                    }
-                }
-            }
-            if (rec_samples.size() > kMaxRecord) {
-                // No recurrence within the budget: give up and keep
-                // simulating cycle by cycle.
-                detecting = false;
-                std::vector<double>().swap(rec_samples);
-                std::vector<std::uint32_t>().swap(rec_issued);
-                std::vector<std::uint32_t>().swap(rec_iters);
+        if (!detecting)
+            continue;
+        if (have_ref)
+            since_ref.push_back(
+                {emitted, issued_this_cycle, iters_this_cycle});
+        if (iters_this_cycle > 0) {
+            std::size_t at = 0;
+            const bool recurs = have_ref
+                && engine.visitState(c, [&](std::uint64_t w) {
+                       return at < ref_words.size() && ref_words[at++] == w;
+                   })
+                && at == ref_words.size();
+            if (recurs) {
+                // Cycles ref_cycle+1..cycle form one exact period.
+                // Replay it for the rest of the run.
+                const std::size_t period = since_ref.size();
                 if (rec_active) {
-                    rec_active = false;
-                    std::vector<double>().swap(recording->prefix);
+                    // Rotate the period so it starts at the first
+                    // emitted sample after the prefix (a recurrence
+                    // inside warm-up leaves the prefix empty).
+                    const std::size_t next_out =
+                        warmup_cycles + recording->prefix.size();
+                    const std::size_t phase =
+                        (next_out - ref_cycle - 1) % period;
+                    recording->period.resize(period);
+                    for (std::size_t j = 0; j < period; ++j)
+                        recording->period[j] =
+                            since_ref[(phase + j) % period].sample;
                 }
+                std::size_t idx = 0;
+                for (std::size_t cyc = cycle + 1; cyc < total_cycles;
+                     ++cyc) {
+                    const CycleRecord &r = since_ref[idx];
+                    for (std::uint32_t k = 0; k < r.iters; ++k)
+                        iter_starts.push_back(
+                            static_cast<std::int64_t>(cyc));
+                    if (cyc >= warmup_cycles) {
+                        sink.push(r.sample);
+                        issued_in_window += r.issued;
+                    }
+                    if (++idx == period)
+                        idx = 0;
+                }
+                replayed = total_cycles - cycle - 1;
+                cycle = total_cycles;
+                break;
+            }
+            if (boundaries++ == next_anchor) {
+                ref_words.clear();
+                engine.visitState(c, [&](std::uint64_t w) {
+                    ref_words.push_back(w);
+                    return true;
+                });
+                ref_cycle = cycle;
+                have_ref = true;
+                next_anchor *= 2;
+                since_ref.clear();
             }
         }
-
-        // Periodically evict finish times no dispatched or future
-        // instruction can reference: producers come either from the
-        // window entries or from the monotonically advancing
-        // last_writer table.
-        if ((cycle & 4095) == 4095) {
-            std::int64_t min_live = next_dyn;
-            for (const auto &lw : last_writer)
-                for (std::int64_t id : lw)
-                    if (id >= 0)
-                        min_live = std::min(min_live, id);
-            for (const auto &e : window) {
-                min_live = std::min(min_live, e.dyn_id);
-                if (e.producer0 >= 0)
-                    min_live = std::min(min_live, e.producer0);
-                if (e.producer1 >= 0)
-                    min_live = std::min(min_live, e.producer1);
-            }
-            while (ft_base < min_live) {
-                finish_time.pop_front();
-                ++ft_base;
+        if (since_ref.size() > kMaxRecord) {
+            // No recurrence within the budget: give up and keep
+            // simulating cycle by cycle.
+            detecting = false;
+            std::vector<CycleRecord>().swap(since_ref);
+            if (rec_active) {
+                rec_active = false;
+                std::vector<double>().swap(recording->prefix);
             }
         }
     }
 
     const std::size_t end_cycle = std::min(cycle, total_cycles);
+    metrics::Registry &registry = metrics::Registry::instance();
+    registry.add("uarch.core.cycles_simulated", end_cycle - replayed);
+    registry.add("uarch.core.cycles_replayed", replayed);
     const std::size_t measured = end_cycle > warmup_cycles
         ? end_cycle - warmup_cycles
         : 0;

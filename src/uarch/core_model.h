@@ -92,15 +92,20 @@ struct CoreRunResult
  * filled by CoreModel::runLoopInto when the engine's steady-state
  * recurrence detection succeeds: the emitted stream then equals
  * `prefix` followed by `period` repeated until `total` samples are
- * out. Lets a caller that needs the same run twice (e.g. the
- * platform's mean-bias pass and observation pass) simulate once and
- * replay, at O(detection window) memory independent of duration.
+ * out. Detection runs from cycle 0, so the recurrence may close
+ * inside the warm-up: the prefix is then empty and the period is
+ * rotated to start at the first emitted (post-warm-up) cycle. Lets a
+ * caller that needs the same run twice (e.g. the platform's
+ * mean-bias pass and observation pass) simulate once and replay, at
+ * O(detection window) memory independent of duration.
  */
 struct LoopRecording
 {
-    std::vector<double> prefix; ///< Samples up to the recurrence.
-    std::vector<double> period; ///< One exact steady-state period
-                                ///< (empty if detection failed).
+    std::vector<double> prefix; ///< Samples emitted live before the
+                                ///< recurrence (may be empty).
+    std::vector<double> period; ///< One exact steady-state period,
+                                ///< following the prefix (empty if
+                                ///< detection failed).
     std::size_t total = 0;      ///< Samples the run emits in all.
     KernelRunStats stats;       ///< The run's statistics.
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "isa/instr.h"
 #include "isa/kernel.h"
 #include "isa/pool.h"
@@ -157,6 +159,36 @@ TEST(Pool, ValidateRejectsBadOperands)
     instr.dest = 0;
     instr.src = {-1, 0};
     EXPECT_THROW(pool.validate(instr), ConfigError);
+}
+
+TEST(Pool, ValidateNamesTheBadOperand)
+{
+    const auto pool = InstructionPool::armV8();
+    auto message = [&](const Instruction &instr) {
+        try {
+            pool.validate(instr);
+        } catch (const ConfigError &e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    Instruction add;
+    add.def_index = pool.defIndex("ADD");
+    add.dest = 0;
+    add.src = {0, 0};
+    EXPECT_EQ(message(add), "no error");
+    add.dest = 99;
+    EXPECT_EQ(message(add), "ADD: bad destination register");
+    add.dest = 0;
+    add.src = {0, -1};
+    EXPECT_EQ(message(add), "ADD: bad source register");
+
+    Instruction load;
+    load.def_index = pool.defIndex("LDR");
+    load.dest = 0;
+    load.src = {0, -1};
+    load.mem_slot = pool.memSlots();
+    EXPECT_EQ(message(load), "LDR: bad memory slot");
 }
 
 TEST(Pool, AssemblyRendering)
